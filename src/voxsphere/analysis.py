@@ -3,8 +3,10 @@ disc-absentee formula.
 
 All counting goes through the closed row tallies in :mod:`voxsphere.kernels`,
 so tables stream: no voxel set is materialized, and radii in the tens of
-thousands stay cheap.  Tables are cached grow-only per process, keyed by the
-largest radius requested so far.
+thousands stay cheap.  One per-process table cache, ``_tables``, serves every
+closed count of the package (the sphere and solid count functions read its
+rows).  It covers radii 0..rmax, the largest radius requested so far; a larger
+request extends it by the missing rows, never rebuilding a row it holds.
 """
 
 from __future__ import annotations
@@ -39,22 +41,28 @@ class CountRow:
 
 
 class _Tables:
-    """Grow-only cache of the per-radius tallies."""
+    """Per-radius tallies for radii 0..rmax, extended as rmax grows."""
 
     def __init__(self):
         self.rmax = -1
-        self.csz = None
-        self.dsz = None
-        self.cpref = None
-        self.cnt = None
-        self.circ = None
+        self.csz = np.zeros(0, np.int64)
+        self.dsz = np.zeros(0, np.int64)
+        self.cpref = kernels.circle_prefix(self.csz)
+        self.cnt = np.zeros(0, np.int64)   # witnesses 0..max(rmax - 1, 0)
+        self.circ = np.zeros(0, np.int64)
 
     def grow(self, rmax: int) -> None:
+        """Compute the rows rmax has and the cache lacks, and append them."""
         if rmax <= self.rmax:
             return
-        self.csz, self.dsz = kernels.size_tables(rmax)
-        self.cpref = kernels.circle_prefix(self.csz)
-        self.cnt, self.circ = kernels.gap_tallies(max(rmax - 1, 0), self.csz)
+        csz, dsz = kernels.size_tables(rmax, start=self.rmax + 1)
+        self.csz = np.concatenate([self.csz, csz])
+        self.dsz = np.concatenate([self.dsz, dsz])
+        self.cpref = kernels.circle_prefix(self.csz)  # one cumsum, O(rmax)
+        cnt, circ = kernels.gap_tallies(max(rmax - 1, 0), self.csz,
+                                        start=self.cnt.size)
+        self.cnt = np.concatenate([self.cnt, cnt])
+        self.circ = np.concatenate([self.circ, circ])
         self.rmax = rmax
 
 
@@ -66,10 +74,24 @@ def sphere_count_row(r: int) -> CountRow:
     if r < 0:
         raise ValueError("radius must be non-negative")
     _tables.grow(r)
-    primitive = int(kernels.surface_totals(
-        np.array([r], dtype=np.int64), _tables.csz, _tables.cpref)[0])
+    primitive = kernels.surface_totals(r, _tables.csz, _tables.cpref)
     absentee = 2 * int(_tables.cnt[:max(r, 1)].sum())
     return CountRow(r, primitive, absentee, primitive + absentee)
+
+
+def species_voxel_counts(r: int) -> tuple[int, int]:
+    """(line voxels, circle voxels) in solid.solid_absentee_voxels(r).
+
+    A gap pixel with witness w <= r - 1 carries a line of 2*isqrt(w) + 1
+    voxels, and each cross-section gap pixel (x, k) carries rings of radii x
+    and k in two planes each (one ring pair when x = k).
+    """
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    _tables.grow(r)
+    cnt = _tables.cnt[:r]
+    lines = int((cnt * (2 * exact_isqrt_many(np.arange(r, dtype=np.int64)) + 1)).sum())
+    return lines, 2 * int(_tables.circ[:r].sum())
 
 
 def solid_count_row(r: int) -> CountRow:
@@ -79,19 +101,8 @@ def solid_count_row(r: int) -> CountRow:
     and circle species; primitive is their difference, matching how the
     tabulated first column relates to the other two.
     """
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    _tables.grow(r)
-    total = int(kernels.solid_totals(
-        np.array([r], dtype=np.int64), _tables.dsz)[0])
-    if r < 2:
-        absentee = 0
-    else:
-        cnt = _tables.cnt[:r]
-        ws = np.arange(r, dtype=np.int64)
-        lines = int((cnt * (2 * exact_isqrt_many(ws) + 1)).sum())
-        circles = 2 * int(_tables.circ[:r].sum())
-        absentee = lines + circles
+    absentee = sum(species_voxel_counts(r))
+    total = kernels.solid_totals(r, _tables.dsz)
     return CountRow(r, total - absentee, absentee, total)
 
 
@@ -177,8 +188,6 @@ def enumerated_disc_absentee_count(r: int) -> int:
     """|disc gap pixels of D(r)| from the witness tallies (exact)."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    if r < 2:
-        return 0
     _tables.grow(r)
     return int(_tables.cnt[:r].sum())
 

@@ -99,16 +99,6 @@ def circle_pixels(r: int) -> np.ndarray:
     return canonicalize(np.concatenate(images))
 
 
-def disc_row_halfwidth(r: int, j: int) -> int:
-    """Largest abscissa of the disc D(r) on row y = j (-1 when empty).
-
-    The disc is the union of the circles C(0..r); row maxima are monotone in
-    the radius, so this is just the row maximum of C(r) except for rows with
-    |j| > r, which are empty.
-    """
-    return circle_row_max(r, j)
-
-
 def disc_pixels(r: int) -> np.ndarray:
     """All pixels of the digital disc of radius r: the circle C(r) together
     with its interior, filled row by row.  Row y = j spans every |x| up to
@@ -177,12 +167,6 @@ def is_disc_absentee(a: int, b: int) -> bool:
     consecutive circles.  Total over the grid; absentees of the disc D(r) are
     exactly these pixels with witness radius <= r - 1."""
     return classify_pixel(a, b)[1]
-
-
-def disc_absentee_witness(a: int, b: int) -> int | None:
-    """Witness radius of an absentee pixel (None when the pixel is on a circle)."""
-    q, absent = classify_pixel(a, b)
-    return q if absent else None
 
 
 def gap_band_index(value_sq: int, row: int) -> int | None:

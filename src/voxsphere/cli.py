@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import analysis, checks, circle, io, solid, sphere
@@ -39,23 +38,6 @@ GENERATORS = {
     "solid-complete": solid.completed_solid_voxels,
 }
 SOLID_SHAPES = {"solid", "solid-absentees", "solid-complete"}
-
-
-def _apply_thread_env() -> None:
-    threads = os.environ.get("VOXSPHERE_THREADS")
-    if not threads:
-        return
-    try:
-        n = int(threads)
-    except ValueError:
-        raise SystemExit(2)
-    try:
-        import numba
-        # clamp: the pool size is fixed at startup and set_num_threads
-        # rejects values outside [1, pool size]
-        numba.set_num_threads(min(max(1, n), numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass  # pure-numpy path: single-threaded already
 
 
 def _parse_radii(spec: str) -> list[int]:
@@ -163,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -1,9 +1,10 @@
-"""Hot integer-counting kernels with two interchangeable implementations.
+"""Hot integer-counting kernels, vectorised with numpy over the rows of one
+radius.
 
-Every kernel exists twice: a plain loop version compiled with numba's @njit,
-and a numpy-vectorised fallback.  Both produce identical int64 results; the
-active path is chosen once at import time.  Set VOXSPHERE_NO_NUMBA=1 to force
-the numpy path (also used when numba is not installed).
+Every row of a table depends only on its own radius (circ also reads csz), so
+size_tables and gap_tallies can compute the rows from ``start`` on by
+themselves; analysis._Tables uses that to extend its tables instead of
+rebuilding them.
 
 Table conventions:
     csz[s]  -- pixel count of the digital circle of radius s
@@ -19,309 +20,106 @@ Table conventions:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-INT = np.int64
+from .lattice import INT, exact_isqrt_many
 
 
-def _numba_requested() -> bool:
-    return os.environ.get("VOXSPHERE_NO_NUMBA", "").strip() in ("", "0")
-
-
-try:
-    if not _numba_requested():
-        raise ImportError("numpy fallback forced by VOXSPHERE_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # identity decorator so the loop source stays importable
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# scalar helpers shared by the loop kernels (numba-compiled when available)
-
-@njit(cache=True)
-def _isqrt64(n: int) -> int:
-    q = int(math.sqrt(float(n)))
-    while q * q > n:
-        q -= 1
-    while (q + 1) * (q + 1) <= n:
-        q += 1
-    return q
-
-
-@njit(cache=True)
-def _ceil_sqrt64(n: int) -> int:
-    if n <= 0:
-        return 0
-    q = _isqrt64(n)
-    if q * q == n:
-        return q
-    return q + 1
-
-
-@njit(cache=True)
-def _row_max64(r: int, j: int) -> int:
-    """Largest abscissa of the digital circle C(r) on row j (0 <= j <= r)."""
-    if r == 0:
-        return 0
-    c = r * r - j * j
-    if c >= 1:
-        x = (_isqrt64(4 * c) + 1) // 2
-        if x > j:
-            return x
-    hi = -1
-    if c + j >= 1:
-        hi = _isqrt64(c + j - 1)
-        if hi > j:
-            hi = j
-    return hi
-
-
-# ---------------------------------------------------------------------------
-# loop kernels (the numba path)
-
-@njit(cache=True)
-def _size_tables_nb(rmax: int) -> tuple[np.ndarray, np.ndarray]:
-    csz = np.zeros(rmax + 1, INT)
-    dsz = np.zeros(rmax + 1, INT)
-    csz[0] = 1
-    dsz[0] = 1
-    for r in range(1, rmax + 1):
-        run_sum = 0
-        disc_sum = 0
-        for j in range(1, r + 1):
-            c = r * r - j * j
-            hi = -1
-            if c + j >= 1:
-                hi = _isqrt64(c + j - 1)
-                if hi > j:
-                    hi = j
-            lo = _ceil_sqrt64(c - j)
-            n_row = hi - lo + 1 if hi >= lo else 0
-            xm = hi
-            if c >= 1:
-                x = (_isqrt64(4 * c) + 1) // 2
-                if x > j:
-                    n_row += 1
-                    xm = x
-            run_sum += n_row
-            disc_sum += 2 * xm + 1
-        csz[r] = 4 * run_sum  # = 4*(run_sum - 1) + 4: one axis pixel per quadrant arm
-        dsz[r] = (2 * r + 1) + 2 * disc_sum
-    return csz, dsz
-
-
-@njit(cache=True)
-def _surface_totals_nb(radii: np.ndarray, csz: np.ndarray, cpref: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(radii), INT)
-    for idx in range(len(radii)):
-        r = int(radii[idx])
-        if r == 0:
-            out[idx] = 1
-            continue
-        hemi = 0
-        for j in range(0, r + 1):
-            c = r * r - j * j
-            if c + j >= 1:
-                hi = _isqrt64(c + j - 1)
-                if hi > j:
-                    hi = j
-                lo = _ceil_sqrt64(c - j)
-                if hi >= lo:
-                    hemi += cpref[hi + 1] - cpref[lo]
-            if c >= 1:
-                x = (_isqrt64(4 * c) + 1) // 2
-                if x > j:
-                    hemi += csz[x]
-        out[idx] = 2 * hemi - csz[r]
-    return out
-
-
-@njit(cache=True)
-def _solid_totals_nb(radii: np.ndarray, dsz: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(radii), INT)
-    for idx in range(len(radii)):
-        r = int(radii[idx])
-        tot = dsz[r]
-        for j in range(1, r + 1):
-            tot += 2 * dsz[_row_max64(r, j)]
-        out[idx] = tot
-    return out
-
-
-@njit(cache=True)
-def _gap_tallies_nb(wmax: int, csz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cnt = np.zeros(wmax + 1, INT)
-    circ = np.zeros(wmax + 1, INT)
-    for w in range(1, wmax + 1):
-        k0 = _isqrt64((w * w) // 2) - 2
-        if k0 < 1:
-            k0 = 1
-        for k in range(k0, w + 1):
-            lo = w * w - k * k + k
-            hi = (w + 1) * (w + 1) - k * k - k
-            if hi <= lo:
-                continue
-            x = _ceil_sqrt64(lo)
-            # a J-interval row holds at most one square, and only with x <= k
-            if x * x < hi and x <= k:
-                if x == k:
-                    cnt[w] += 4
-                    circ[w] += csz[x]
-                else:
-                    cnt[w] += 8
-                    circ[w] += csz[x] + csz[k]
-    return cnt, circ
-
-
-@njit(cache=True)
-def _flood_outside_nb(occ: np.ndarray) -> np.ndarray:
-    nx, ny, nz = occ.shape
-    out = np.zeros_like(occ)
-    queue = np.empty(nx * ny * nz, np.int64)
-    head = 0
-    tail = 0
-    for x in range(nx):
-        for y in range(ny):
-            for z in range(nz):
-                if x == 0 or y == 0 or z == 0 or x == nx - 1 or y == ny - 1 or z == nz - 1:
-                    if occ[x, y, z] == 0 and out[x, y, z] == 0:
-                        out[x, y, z] = 1
-                        queue[tail] = (x * ny + y) * nz + z
-                        tail += 1
-    while head < tail:
-        flat = queue[head]
-        head += 1
-        z = flat % nz
-        y = (flat // nz) % ny
-        x = flat // (ny * nz)
-        for d in range(6):
-            xx, yy, zz = x, y, z
-            if d == 0:
-                xx += 1
-            elif d == 1:
-                xx -= 1
-            elif d == 2:
-                yy += 1
-            elif d == 3:
-                yy -= 1
-            elif d == 4:
-                zz += 1
-            else:
-                zz -= 1
-            if 0 <= xx < nx and 0 <= yy < ny and 0 <= zz < nz:
-                if occ[xx, yy, zz] == 0 and out[xx, yy, zz] == 0:
-                    out[xx, yy, zz] = 1
-                    queue[tail] = (xx * ny + yy) * nz + zz
-                    tail += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy-vectorised fallbacks (vectorise over rows/witness-rows per radius)
-
-def _np_isqrt(a: np.ndarray) -> np.ndarray:
-    q = np.sqrt(a.astype(np.float64)).astype(INT)
-    q -= q * q > a
-    q += (q + 1) * (q + 1) <= a
-    return q
-
-
-def _np_ceil_sqrt(a: np.ndarray) -> np.ndarray:
+def _ceil_sqrt(a: np.ndarray) -> np.ndarray:
     a = np.maximum(a, 0)
-    q = _np_isqrt(a)
+    q = exact_isqrt_many(a)
     return q + (q * q < a)
 
 
-def _row_spans_np(r: int):
+def _row_spans(r: int):
     """Per-row quantities of C(r) for j = 1..r: (lo, hi, steep_x, xmax).
 
     lo/hi bound the shallow run (x <= j) in abscissa; steep_x is the single
     steep abscissa or -1; xmax is the row maximum.
     """
     j = np.arange(1, r + 1, dtype=INT)
-    c = r * r - j * j
-    hi = np.where(c + j >= 1, np.minimum(j, _np_isqrt(np.maximum(c + j - 1, 0))), -1)
-    lo = _np_ceil_sqrt(c - j)
-    x = np.where(c >= 1, (_np_isqrt(np.maximum(4 * c, 0)) + 1) // 2, -1)
+    c = r * r - j * j  # >= 0, so c + j - 1 >= 0 and row j = r has x = 0
+    hi = np.minimum(j, exact_isqrt_many(c + j - 1))
+    lo = _ceil_sqrt(c - j)
+    x = (exact_isqrt_many(4 * c) + 1) // 2
     steep = np.where(x > j, x, -1)
     xmax = np.where(steep >= 0, steep, hi)
     return lo, hi, steep, xmax
 
 
-def _size_tables_np(rmax: int) -> tuple[np.ndarray, np.ndarray]:
-    csz = np.zeros(rmax + 1, INT)
-    dsz = np.zeros(rmax + 1, INT)
-    csz[0] = 1
-    dsz[0] = 1
-    for r in range(1, rmax + 1):
-        lo, hi, steep, xmax = _row_spans_np(r)
-        n_rows = np.maximum(hi - lo + 1, 0) + (steep >= 0)
-        csz[r] = 4 * int(n_rows.sum())
-        dsz[r] = (2 * r + 1) + 2 * int((2 * xmax + 1).sum())
+def using_numba() -> bool:
+    # numpy is the only backend; perfbench/run.py still records this flag in
+    # every result it writes.
+    return False
+
+
+def size_tables(rmax: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(csz, dsz) for radii start..rmax."""
+    if rmax < 0:
+        raise ValueError("rmax must be non-negative")
+    if not 0 <= start <= rmax + 1:
+        raise ValueError("start must lie in 0..rmax+1")
+    csz = np.ones(rmax + 1 - start, INT)  # C(0) and D(0) are the origin alone
+    dsz = csz.copy()
+    for r in range(max(start, 1), rmax + 1):
+        lo, hi, steep, xmax = _row_spans(r)
+        csz[r - start] = 4 * int((np.maximum(hi - lo + 1, 0) + (steep >= 0)).sum())
+        dsz[r - start] = (2 * r + 1) + 2 * int((2 * xmax + 1).sum())
     return csz, dsz
 
 
-def _surface_totals_np(radii: np.ndarray, csz: np.ndarray, cpref: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(radii), INT)
-    for idx, r in enumerate(int(v) for v in radii):
-        if r == 0:
-            out[idx] = 1
-            continue
-        lo, hi, steep, _ = _row_spans_np(r)
-        sel = hi >= lo
-        hemi = int((cpref[hi[sel] + 1] - cpref[lo[sel]]).sum())
-        hemi += int(csz[steep[steep >= 0]].sum())
-        hemi += int(csz[r])  # row j=0 contributes the equator ring only
-        out[idx] = 2 * hemi - csz[r]
-    return out
+def circle_prefix(csz: np.ndarray) -> np.ndarray:
+    """cpref[i] = sum of csz[0..i-1]; cpref has one extra leading zero."""
+    cpref = np.zeros(len(csz) + 1, INT)
+    np.cumsum(csz, out=cpref[1:])
+    return cpref
 
 
-def _solid_totals_np(radii: np.ndarray, dsz: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(radii), INT)
-    for idx, r in enumerate(int(v) for v in radii):
-        if r == 0:
-            out[idx] = 1
-            continue
-        _, _, _, xmax = _row_spans_np(r)
-        out[idx] = int(dsz[r]) + 2 * int(dsz[xmax].sum())
-    return out
+def surface_totals(r: int, csz: np.ndarray, cpref: np.ndarray) -> int:
+    """|sphere(r)| (revolved ring sums, equator deduplicated)."""
+    lo, hi, steep, _ = _row_spans(r)
+    sel = hi >= lo
+    hemi = int((cpref[hi[sel] + 1] - cpref[lo[sel]]).sum())
+    hemi += int(csz[steep[steep >= 0]].sum())
+    hemi += int(csz[r])  # row j=0 contributes the equator ring only
+    return 2 * hemi - int(csz[r])
 
 
-def _gap_tallies_np(wmax: int, csz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cnt = np.zeros(wmax + 1, INT)
-    circ = np.zeros(wmax + 1, INT)
-    for w in range(1, wmax + 1):
+def solid_totals(r: int, dsz: np.ndarray) -> int:
+    """|complete solid(r)| (per-plane filled-disc sums)."""
+    xmax = _row_spans(r)[3]
+    return int(dsz[r]) + 2 * int(dsz[xmax].sum())
+
+
+def gap_tallies(wmax: int, csz: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(cnt, circ) for witnesses start..wmax; csz must cover radii 0..wmax."""
+    if wmax < 0:
+        raise ValueError("wmax must be non-negative")
+    if not 0 <= start <= wmax + 1:
+        raise ValueError("start must lie in 0..wmax+1")
+    cnt = np.zeros(wmax + 1 - start, INT)
+    circ = np.zeros(wmax + 1 - start, INT)
+    for w in range(max(start, 1), wmax + 1):
         k0 = max(1, math.isqrt((w * w) // 2) - 2)
         k = np.arange(k0, w + 1, dtype=INT)
         lo = w * w - k * k + k
         hi = (w + 1) * (w + 1) - k * k - k
-        x = _np_ceil_sqrt(lo)
-        hit = (hi > lo) & (x * x < hi) & (x <= k)
+        x = _ceil_sqrt(lo)
+        hit = (x * x < hi) & (x <= k)  # k <= w keeps hi - lo = 2(w - k) + 1 > 0
         if not hit.any():
             continue
         xh = x[hit]
         kh = k[hit]
         diag = xh == kh
-        cnt[w] = 4 * int(diag.sum()) + 8 * int((~diag).sum())
-        circ[w] = int(csz[xh].sum() + csz[kh[~diag]].sum())
+        cnt[w - start] = 4 * int(diag.sum()) + 8 * int((~diag).sum())
+        circ[w - start] = int(csz[xh].sum() + csz[kh[~diag]].sum())
     return cnt, circ
 
 
-def _flood_outside_np(occ: np.ndarray) -> np.ndarray:
+def flood_outside(occ: np.ndarray) -> np.ndarray:
+    """Mask of free cells 6-connected to the grid boundary (occ: 1=occupied)."""
+    occ = np.ascontiguousarray(occ, np.uint8)
     free = occ == 0
     out = np.zeros(occ.shape, dtype=bool)
     for axis in range(3):
@@ -341,79 +139,3 @@ def _flood_outside_np(occ: np.ndarray) -> np.ndarray:
         if (grow == out).all():
             return out.astype(occ.dtype)
         out = grow
-
-
-# ---------------------------------------------------------------------------
-# public API: uniform entry points plus both paths exposed for benchmarking
-
-def using_numba() -> bool:
-    return HAS_NUMBA
-
-
-def size_tables(rmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(csz, dsz) for radii 0..rmax."""
-    if rmax < 0:
-        raise ValueError("rmax must be non-negative")
-    if HAS_NUMBA:
-        return _size_tables_nb(rmax)
-    return _size_tables_np(rmax)
-
-
-def circle_prefix(csz: np.ndarray) -> np.ndarray:
-    """cpref[i] = sum of csz[0..i-1]; cpref has one extra leading zero."""
-    cpref = np.zeros(len(csz) + 1, INT)
-    np.cumsum(csz, out=cpref[1:])
-    return cpref
-
-
-def surface_totals(radii, csz: np.ndarray, cpref: np.ndarray) -> np.ndarray:
-    """|sphere(r)| for each r (revolved ring sums, equator deduplicated)."""
-    radii = np.ascontiguousarray(radii, INT)
-    if HAS_NUMBA:
-        return _surface_totals_nb(radii, csz, cpref)
-    return _surface_totals_np(radii, csz, cpref)
-
-
-def solid_totals(radii, dsz: np.ndarray) -> np.ndarray:
-    """|complete solid(r)| for each r (per-plane filled-disc sums)."""
-    radii = np.ascontiguousarray(radii, INT)
-    if HAS_NUMBA:
-        return _solid_totals_nb(radii, dsz)
-    return _solid_totals_np(radii, dsz)
-
-
-def gap_tallies(wmax: int, csz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cnt, circ) indexed by witness 0..wmax."""
-    if wmax < 0:
-        raise ValueError("wmax must be non-negative")
-    if HAS_NUMBA:
-        return _gap_tallies_nb(wmax, csz)
-    return _gap_tallies_np(wmax, csz)
-
-
-def flood_outside(occ: np.ndarray) -> np.ndarray:
-    """Mask of free cells 6-connected to the grid boundary (occ: 1=occupied)."""
-    occ = np.ascontiguousarray(occ, np.uint8)
-    if HAS_NUMBA:
-        return _flood_outside_nb(occ)
-    return _flood_outside_np(occ)
-
-
-IMPLEMENTATIONS = {
-    "numba": {
-        "available": HAS_NUMBA,
-        "size_tables": _size_tables_nb if HAS_NUMBA else None,
-        "surface_totals": _surface_totals_nb if HAS_NUMBA else None,
-        "solid_totals": _solid_totals_nb if HAS_NUMBA else None,
-        "gap_tallies": _gap_tallies_nb if HAS_NUMBA else None,
-        "flood_outside": _flood_outside_nb if HAS_NUMBA else None,
-    },
-    "numpy": {
-        "available": True,
-        "size_tables": _size_tables_np,
-        "surface_totals": _surface_totals_np,
-        "solid_totals": _solid_totals_np,
-        "gap_tallies": _gap_tallies_np,
-        "flood_outside": _flood_outside_np,
-    },
-}

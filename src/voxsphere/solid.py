@@ -35,22 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, \
-    symmetric_octet
-from .circle import circle_pixels, circle_row_max, disc_pixels, gap_band_index, \
-    iter_octant_absentees
-from .sphere import completed_sphere_voxels
+from .lattice import INT, canonicalize, classify_pixel, isqrt, symmetric_octet
+from .circle import circle_row_max, disc_pixels, gap_band_index, iter_octant_absentees
+from .sphere import _lift, _ring_at, completed_sphere_voxels
+from .analysis import enumerated_disc_absentee_count, solid_count_row, \
+    species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
 from . import kernels
-
-
-def _ring_at(s: int, j: int) -> np.ndarray:
-    """Voxels of the digital circle of radius s in the plane y = j."""
-    pix = circle_pixels(s)
-    out = np.empty((pix.shape[0], 3), dtype=INT)
-    out[:, 0] = pix[:, 0]
-    out[:, 1] = j
-    out[:, 2] = pix[:, 1]
-    return out
 
 
 def _columns(a: int, b: int, jlo: int, jhi: int) -> np.ndarray:
@@ -132,38 +122,13 @@ def solid_absentee_voxels(r: int) -> np.ndarray:
 
 def solid_absentee_count(r: int) -> int:
     """|solid_absentee_voxels(r)| via closed tallies, without materializing."""
-    lines, circles = species_voxel_counts(r)
-    return lines + circles
-
-
-def species_voxel_counts(r: int) -> tuple[int, int]:
-    """(line voxels, circle voxels) in solid_absentee_voxels(r).
-
-    Uses per-witness tallies: a gap pixel with witness w carries a line of
-    2*isqrt(w) + 1 voxels, and each cross-section gap pixel (x, k) carries
-    rings of radii x and k in two planes each (one ring pair when x = k).
-    """
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    if r < 2:
-        return 0, 0
-    csz, _ = kernels.size_tables(r)
-    cnt, circ = kernels.gap_tallies(r - 1, csz)
-    ws = np.arange(cnt.size, dtype=np.int64)
-    heights = 2 * exact_isqrt_many(ws) + 1
-    lines = int((cnt * heights).sum())
-    circles = 2 * int(circ.sum())
-    return lines, circles
+    return solid_count_row(r).absentee
 
 
 def absentee_line_count(r: int) -> int:
     """Number of distinct absentee lines of the solid sphere of radius r
     (one per gap pixel of the zx-plane with witness <= r - 1)."""
-    if r < 2:
-        return 0
-    csz, _ = kernels.size_tables(r)
-    cnt, _ = kernels.gap_tallies(r - 1, csz)
-    return int(cnt.sum())
+    return enumerated_disc_absentee_count(r)
 
 
 def absentee_circle_count(r: int) -> int:
@@ -196,21 +161,13 @@ def completed_solid_voxels(r: int) -> np.ndarray:
         s = circle_row_max(r, abs(j))
         if s not in discs:
             discs[s] = disc_pixels(s)
-        pix = discs[s]
-        plane = np.empty((pix.shape[0], 3), dtype=INT)
-        plane[:, 0] = pix[:, 0]
-        plane[:, 1] = j
-        plane[:, 2] = pix[:, 1]
-        parts.append(plane)
+        parts.append(_lift(discs[s], j))
     return canonicalize(np.concatenate(parts))
 
 
 def completed_solid_count(r: int) -> int:
     """|completed_solid_voxels(r)| via per-plane disc sizes (streaming)."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    _, dsz = kernels.size_tables(r)
-    return int(kernels.solid_totals(np.array([r], dtype=np.int64), dsz)[0])
+    return solid_count_row(r).total
 
 
 def enclosed_voxels(vox: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import circle, kernels
+from . import analysis, circle
 from .lattice import INT, absentee_witness, canonicalize, classify_many, isqrt, symmetric_octet
 
 
@@ -39,24 +39,25 @@ def generatrix(r: int) -> np.ndarray:
     return np.array(pts, dtype=INT)
 
 
-def _rings_at_planes(radius_plane_pairs) -> np.ndarray:
-    """Concatenate digital circles of given radii, each placed in its plane."""
-    parts = []
-    for s, j in radius_plane_pairs:
-        ring = circle.circle_pixels(int(s))
-        vox = np.empty((len(ring), 3), dtype=INT)
-        vox[:, 0] = ring[:, 0]
-        vox[:, 1] = j
-        vox[:, 2] = ring[:, 1]
-        parts.append(vox)
-    if not parts:
-        return np.zeros((0, 3), dtype=INT)
-    return np.concatenate(parts)
+def _lift(pix: np.ndarray, j: int) -> np.ndarray:
+    """Pixels (x, z) placed in the plane y = j as voxels (x, j, z)."""
+    return np.insert(pix, 1, j, axis=1)
+
+
+def _ring_at(s: int, j: int) -> np.ndarray:
+    """Voxels of the digital circle of radius s in the plane y = j."""
+    return _lift(circle.circle_pixels(s), j)
+
+
+def _gap_octets_at(w: int, j: int) -> list[np.ndarray]:
+    """The gap pixels of witness w, one array per symmetric octet, lifted to
+    the plane y = j."""
+    return [_lift(symmetric_octet(a, b), j) for a, b in circle.iter_octant_absentees(w)]
 
 
 def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, canonicalized."""
-    return canonicalize(_rings_at_planes(generatrix(r)))
+    return canonicalize(np.concatenate([_ring_at(x, j) for x, j in generatrix(r).tolist()]))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
@@ -69,9 +70,7 @@ def sphere_voxels(r: int) -> np.ndarray:
 
 def sphere_surface_count(r: int) -> int:
     """|sphere_voxels(r)| without materializing the set."""
-    csz, _ = kernels.size_tables(r)
-    cpref = kernels.circle_prefix(csz)
-    return int(kernels.surface_totals([r], csz, cpref)[0])
+    return analysis.sphere_count_row(r).primitive
 
 
 def gap_plane(r: int, w: int) -> int:
@@ -98,15 +97,7 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
     w = int(gen[t, 0])
     if int(gen[t + 1, 0]) != w + 1:
         raise ValueError("step does not grow the swept radius")
-    r = int(gen[0, 1])
-    parts = []
-    for a, b in circle.iter_octant_absentees(w):
-        octet = symmetric_octet(a, b)
-        vox = np.empty((len(octet), 3), dtype=INT)
-        vox[:, 0] = octet[:, 0]
-        vox[:, 1] = gap_plane(r, w)
-        vox[:, 2] = octet[:, 1]
-        parts.append(vox)
+    parts = _gap_octets_at(w, gap_plane(int(gen[0, 1]), w))
     if not parts:
         return np.zeros((0, 3), dtype=INT)
     return canonicalize(np.concatenate(parts))
@@ -117,16 +108,7 @@ def hemisphere_absentees(r: int) -> np.ndarray:
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    parts = []
-    for w in range(1, r):
-        j = gap_plane(r, w)
-        for a, b in circle.iter_octant_absentees(w):
-            octet = symmetric_octet(a, b)
-            vox = np.empty((len(octet), 3), dtype=INT)
-            vox[:, 0] = octet[:, 0]
-            vox[:, 1] = j
-            vox[:, 2] = octet[:, 1]
-            parts.append(vox)
+    parts = [vox for w in range(1, r) for vox in _gap_octets_at(w, gap_plane(r, w))]
     if not parts:
         return np.zeros((0, 3), dtype=INT)
     return canonicalize(np.concatenate(parts))
@@ -146,11 +128,8 @@ def completed_sphere_voxels(r: int) -> np.ndarray:
 
 
 def completed_sphere_count(r: int) -> int:
-    csz, _ = kernels.size_tables(max(r, 1))
-    cpref = kernels.circle_prefix(csz)
-    surface = int(kernels.surface_totals([r], csz, cpref)[0])
-    cnt, _ = kernels.gap_tallies(max(r - 1, 0), csz)
-    return surface + 2 * int(cnt[: max(r, 1)].sum())
+    """|completed_sphere_voxels(r)| without materializing the set."""
+    return analysis.sphere_count_row(r).total
 
 
 def is_sphere_absentee(v, r: int) -> bool:

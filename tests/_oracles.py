@@ -159,3 +159,32 @@ def oracle_sphere_voxels(r: int) -> set[tuple[int, int, int]]:
             out.add((a, j, b))
             out.add((a, -j, b))
     return out
+
+
+def oracle_flood_outside(occ: np.ndarray) -> np.ndarray:
+    """Breadth-first search from every free boundary cell through the free
+    cells of a 3-D grid (occ: 1 = occupied), stepping to the six face
+    neighbours.  Returns a mask of the cells reached, in occ's dtype."""
+    nx, ny, nz = occ.shape
+    out = np.zeros_like(occ)
+    queue = []
+    for x in range(nx):
+        for y in range(ny):
+            for z in range(nz):
+                on_edge = (x in (0, nx - 1) or y in (0, ny - 1)
+                           or z in (0, nz - 1))
+                if on_edge and occ[x, y, z] == 0:
+                    out[x, y, z] = 1
+                    queue.append((x, y, z))
+    head = 0
+    while head < len(queue):
+        x, y, z = queue[head]
+        head += 1
+        for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                           (0, -1, 0), (0, 0, 1), (0, 0, -1)):
+            xx, yy, zz = x + dx, y + dy, z + dz
+            if (0 <= xx < nx and 0 <= yy < ny and 0 <= zz < nz
+                    and occ[xx, yy, zz] == 0 and out[xx, yy, zz] == 0):
+                out[xx, yy, zz] = 1
+                queue.append((xx, yy, zz))
+    return out

@@ -150,7 +150,8 @@ def test_solid_ratios_all_match():
 @pytest.mark.slow
 def test_tallies_at_scale():
     """Frozen rows at r = 100000: exercises the int64 tallies three orders
-    of magnitude past the published tables (about half a minute)."""
+    of magnitude past the published tables (about seven minutes on a
+    2-vCPU Xeon)."""
     row = sphere_count_row(100_000)
     assert row == CountRow(100_000, 100997086030, 6263309800, 107260395830)
     assert row.absentee % 8 == 0

@@ -9,10 +9,8 @@ from voxsphere.circle import (
     circle_pixels,
     circle_row_max,
     circle_row_run,
-    disc_absentee_witness,
     disc_absentees,
     disc_pixels,
-    disc_row_halfwidth,
     gap_band_index,
     is_disc_absentee,
     iter_octant_absentees,
@@ -21,7 +19,7 @@ from voxsphere.circle import (
     run_interval,
     union_circles,
 )
-from voxsphere.lattice import classify_pixel, on_digital_circle
+from voxsphere.lattice import absentee_witness, classify_pixel, on_digital_circle
 
 CIRCLE_SIZES = [1, 4, 12, 16, 24, 28, 32, 40, 44, 52, 56, 64, 68, 72, 80, 84, 92]
 DISC_SIZES = [1, 5, 21, 37, 61, 97, 129, 177, 221, 277, 349]
@@ -83,7 +81,6 @@ def test_row_runs_cover_circle(r):
         expect = {x for x, jj in ring if jj == j and x >= 0}
         assert row == expect, (r, j)
         assert circle_row_max(r, j) == (max(expect) if expect else -1)
-        assert disc_row_halfwidth(r, j) == circle_row_max(r, j)
 
 
 def test_run_interval_is_row_membership():
@@ -123,8 +120,8 @@ def test_no_axis_absentees():
 
 def test_witness_helpers():
     assert is_disc_absentee(1, 1)
-    assert disc_absentee_witness(1, 1) == 1
-    assert disc_absentee_witness(2, 1) is None
+    assert absentee_witness(1, 1) == 1
+    assert absentee_witness(2, 1) is None
     assert not is_disc_absentee(0, 0)
 
 
@@ -135,7 +132,7 @@ def test_band_index_characterizes_octant_absentees(r):
     for k in range(1, r + 1):
         for i in range(k + 1):
             h = parabolic_band_index(i, k)
-            w = disc_absentee_witness(i, k)
+            w = absentee_witness(i, k)
             if w is None:
                 assert h is None, (i, k)
             else:
