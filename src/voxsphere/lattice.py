@@ -18,6 +18,8 @@ import math
 import numpy as np
 
 INT = np.int64
+ISQRT_MAX = 3037000499  # floor(sqrt(2^63 - 1))
+COORD_MAX = 2**31 - 1   # largest m with 2m^2 + m < 2^63
 
 
 def isqrt(n: int) -> int:
@@ -84,10 +86,19 @@ def absentee_witness(x: int, y: int) -> int | None:
     return q if absent else None
 
 
-def classify_many(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised classify_pixel over int64 arrays: (radius, absentee mask)."""
-    ax = np.abs(x.astype(INT))
-    ay = np.abs(y.astype(INT))
+def classify_many(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised classify_pixel over int64 arrays: (radius, absentee mask).
+
+    Exact for |x|, |y| <= COORD_MAX, where m^2 + n^2 + m stays below 2^63;
+    raises ValueError for any coordinate beyond it.
+    """
+    x = np.asarray(x, dtype=INT)
+    y = np.asarray(y, dtype=INT)
+    for c in (x, y):
+        if c.size and (c.min() < -COORD_MAX or c.max() > COORD_MAX):
+            raise ValueError(f"coordinates must lie in [-{COORD_MAX}, {COORD_MAX}]")
+    ax = np.abs(x)
+    ay = np.abs(y)
     m = np.maximum(ax, ay)
     n = np.minimum(ax, ay)
     t = m * m + n * n
@@ -96,11 +107,16 @@ def classify_many(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return q, absent
 
 
-def exact_isqrt_many(a: np.ndarray) -> np.ndarray:
-    """Exact floor sqrt for int64 arrays (float sqrt plus a one-step fixup)."""
+def exact_isqrt_many(a) -> np.ndarray:
+    """Exact floor sqrt of int64 values 0 <= a <= 2^63 - 1 (float sqrt, then
+    one fixup step each way that never squares past ISQRT_MAX)."""
+    a = np.asarray(a, dtype=INT)
+    if a.size and a.min() < 0:
+        raise ValueError("exact_isqrt_many of a negative number")
     q = np.sqrt(a.astype(np.float64)).astype(INT)
+    np.minimum(q, ISQRT_MAX, out=q)
     q -= q * q > a
-    q += (q + 1) * (q + 1) <= a
+    q += a - q * q > 2 * q  # (q + 1)^2 <= a without forming (q + 1)^2
     return q
 
 
@@ -123,7 +139,13 @@ def canonicalize(points: np.ndarray) -> np.ndarray:
     arr = np.asarray(points, dtype=INT)
     if arr.size == 0:
         return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 2)
-    return np.unique(arr, axis=0)
+    if arr.ndim != 2:
+        raise ValueError("expected an (N, k) point array")
+    arr = arr[np.lexsort(arr.T[::-1])]
+    keep = np.empty(len(arr), dtype=bool)
+    keep[0] = True
+    np.any(arr[1:] != arr[:-1], axis=1, out=keep[1:])
+    return arr[keep]
 
 
 class IntegerInterval:

@@ -188,3 +188,50 @@ def oracle_flood_outside(occ: np.ndarray) -> np.ndarray:
                 out[xx, yy, zz] = 1
                 queue.append((xx, yy, zz))
     return out
+
+
+def oracle_canonicalize(points: np.ndarray) -> np.ndarray:
+    """Sorted distinct rows of an (N, k) int64 array, by numpy's own
+    row-wise unique."""
+    arr = np.asarray(points, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, arr.shape[1])
+    return np.unique(arr, axis=0)
+
+
+def _oracle_rows(pts: np.ndarray, sep: str) -> str:
+    """One Python string per row: str() of each coordinate, joined by sep."""
+    return "".join(sep.join(str(c) for c in row) + "\n" for row in pts.tolist())
+
+
+def oracle_canonical_text(vox: np.ndarray) -> str:
+    return _oracle_rows(np.asarray(vox, dtype=np.int64), " ")
+
+
+def oracle_csv(vox: np.ndarray) -> str:
+    pts = np.asarray(vox, dtype=np.int64)
+    header = "i,j" if pts.shape[1] == 2 else "i,j,k"
+    return header + "\n" + _oracle_rows(pts, ",")
+
+
+def oracle_ply(vox: np.ndarray) -> str:
+    pts = np.asarray(vox, dtype=np.int64)
+    if pts.shape[1] == 2:
+        pts = np.hstack([pts, np.zeros((pts.shape[0], 1), dtype=np.int64)])
+    head = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"element vertex {pts.shape[0]}\n"
+        "property int x\n"
+        "property int y\n"
+        "property int z\n"
+        "end_header\n"
+    )
+    return head + _oracle_rows(pts, " ")
+
+
+ORACLE_EMITTERS = {
+    "canonical-text": oracle_canonical_text,
+    "csv": oracle_csv,
+    "ply-ascii": oracle_ply,
+}

@@ -32,36 +32,36 @@ def run_proc(*argv):
 # ---------------------------------------------------------------- emitters
 
 def test_canonical_text_frozen():
-    assert vio.emit_canonical_text(circle.circle_pixels(0)) == "0 0\n"
+    assert vio.emit_canonical_text(circle.circle_pixels(0)) == b"0 0\n"
     assert (vio.emit_canonical_text(circle.circle_pixels(1))
-            == "-1 0\n0 -1\n0 1\n1 0\n")
-    assert vio.emit_canonical_text(sphere.sphere_voxels(0)) == "0 0 0\n"
+            == b"-1 0\n0 -1\n0 1\n1 0\n")
+    assert vio.emit_canonical_text(sphere.sphere_voxels(0)) == b"0 0 0\n"
 
 
 def test_canonical_text_empty():
-    assert vio.emit_canonical_text(np.zeros((0, 2), dtype=INT)) == ""
-    assert vio.emit_canonical_text(np.zeros((0, 3), dtype=INT)) == ""
+    assert vio.emit_canonical_text(np.zeros((0, 2), dtype=INT)) == b""
+    assert vio.emit_canonical_text(np.zeros((0, 3), dtype=INT)) == b""
 
 
 def test_csv_frozen():
-    assert vio.emit_csv(circle.circle_pixels(0)) == "i,j\n0,0\n"
+    assert vio.emit_csv(circle.circle_pixels(0)) == b"i,j\n0,0\n"
     assert (vio.emit_csv(np.array([[1, -2, 3]], dtype=INT))
-            == "i,j,k\n1,-2,3\n")
+            == b"i,j,k\n1,-2,3\n")
 
 
 def test_ply_frozen_and_2d_embedding():
     want = (
-        "ply\n"
-        "format ascii 1.0\n"
-        "element vertex 4\n"
-        "property int x\n"
-        "property int y\n"
-        "property int z\n"
-        "end_header\n"
-        "-1 0 0\n"
-        "0 -1 0\n"
-        "0 1 0\n"
-        "1 0 0\n"
+        b"ply\n"
+        b"format ascii 1.0\n"
+        b"element vertex 4\n"
+        b"property int x\n"
+        b"property int y\n"
+        b"property int z\n"
+        b"end_header\n"
+        b"-1 0 0\n"
+        b"0 -1 0\n"
+        b"0 1 0\n"
+        b"1 0 0\n"
     )
     assert vio.emit_ply(circle.circle_pixels(1)) == want
 
@@ -69,9 +69,9 @@ def test_ply_frozen_and_2d_embedding():
 def test_ply_vertex_count_matches_rows():
     vox = sphere.completed_sphere_voxels(3)
     text = vio.emit_ply(vox)
-    head, _, body = text.partition("end_header\n")
-    assert f"element vertex {vox.shape[0]}\n" in head
-    assert body.count("\n") == vox.shape[0]
+    head, _, body = text.partition(b"end_header\n")
+    assert f"element vertex {vox.shape[0]}\n".encode() in head
+    assert body.count(b"\n") == vox.shape[0]
 
 
 def test_emit_unknown_format():
@@ -128,13 +128,13 @@ def test_parse_rejects_bad_columns():
 
 def test_write_text_file(tmp_path):
     out = tmp_path / "pts.txt"
-    vio.write_text("0 0\n1 1\n", str(out))
+    vio.write_text(b"0 0\n1 1\n", str(out))
     assert out.read_bytes() == b"0 0\n1 1\n"
     assert not list(tmp_path.glob(".voxsphere-*"))
 
 
 def test_write_text_stdout(capsys):
-    vio.write_text("0 0\n", None)
+    vio.write_text(b"0 0\n", None)
     assert capsys.readouterr().out == "0 0\n"
 
 
@@ -142,7 +142,7 @@ def test_write_text_failure_leaves_no_temp(tmp_path):
     target = tmp_path / "occupied"
     target.mkdir()
     with pytest.raises(OSError):
-        vio.write_text("1 2\n", str(target))
+        vio.write_text(b"1 2\n", str(target))
     assert not list(tmp_path.glob(".voxsphere-*"))
     assert target.is_dir()
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxsphere.lattice import (
+    COORD_MAX,
+    ISQRT_MAX,
     IntegerInterval,
     absentee_witness,
     canonicalize,
@@ -99,8 +101,7 @@ def test_classify_many_matches_scalar():
 
 
 def test_exact_isqrt_many_exhaustive_edges():
-    # squares and near-squares are where float sqrt goes wrong; stay below
-    # the int64 edge where (q+1)^2 itself would overflow
+    # squares and near-squares are where float sqrt goes wrong
     vals = []
     for q in list(range(0, 300)) + [10**6, 10**7, 10**9]:
         vals += [q * q - 1, q * q, q * q + 1]
@@ -109,6 +110,53 @@ def test_exact_isqrt_many_exhaustive_edges():
     for v, q in zip(a.tolist(), out.tolist()):
         assert q == math.isqrt(v)
 
+
+INT64_MAX = 2**63 - 1
+# the top of each domain plus values just below the squares near it
+isqrt_edge = (st.integers(0, INT64_MAX)
+              | st.integers(ISQRT_MAX - 3, ISQRT_MAX).map(lambda q: q * q - 1)
+              | st.integers(INT64_MAX - 2**40, INT64_MAX))
+coord_edge = (st.integers(-COORD_MAX, COORD_MAX)
+              | st.integers(COORD_MAX - 5, COORD_MAX)
+              | st.integers(-COORD_MAX, -COORD_MAX + 5))
+
+
+def test_vector_helpers_at_the_int64_edge():
+    assert exact_isqrt_many([INT64_MAX]).tolist() == [math.isqrt(INT64_MAX)]
+    assert ISQRT_MAX == math.isqrt(INT64_MAX)
+    assert 2 * COORD_MAX**2 + COORD_MAX < 2**63 <= 2 * (COORD_MAX + 1)**2 + COORD_MAX + 1
+    q, absent = classify_many([COORD_MAX], [-COORD_MAX])
+    assert (int(q[0]), bool(absent[0])) == classify_pixel(COORD_MAX, -COORD_MAX)
+
+
+@settings(max_examples=300)
+@given(st.lists(isqrt_edge, min_size=1, max_size=20))
+def test_exact_isqrt_many_matches_math_isqrt(vals):
+    assert exact_isqrt_many(np.array(vals, dtype=np.int64)).tolist() == \
+        [math.isqrt(v) for v in vals]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(coord_edge, coord_edge), min_size=1, max_size=20))
+def test_classify_many_matches_scalar_at_the_edges(pairs):
+    x, y = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    q, absent = classify_many(x, y)
+    assert list(zip(q.tolist(), absent.tolist())) == \
+        [classify_pixel(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("x, y", [
+    (2**31 + 5, 2**31), (COORD_MAX + 1, 0), (0, -COORD_MAX - 1),
+    (-2**63, 0), (3, 2**62)])
+def test_classify_many_rejects_coordinates_past_its_domain(x, y):
+    with pytest.raises(ValueError, match="coordinates"):
+        classify_many(np.array([0, x]), np.array([0, y]))
+
+
+def test_exact_isqrt_many_rejects_negatives():
+    with pytest.raises(ValueError, match="negative"):
+        exact_isqrt_many(np.array([4, -1, 9]))
+    assert exact_isqrt_many(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 def test_symmetric_octet_cardinalities():
     assert len(symmetric_octet(0, 0)) == 1
