@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 INT = np.int64
-ISQRT_MAX = 3037000499  # floor(sqrt(2^63 - 1))
 COORD_MAX = 2**31 - 1   # largest m with 2m^2 + m < 2^63
 
 
@@ -108,15 +107,20 @@ def classify_many(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_isqrt_many(a) -> np.ndarray:
-    """Exact floor sqrt of int64 values 0 <= a <= 2^63 - 1 (float sqrt, then
-    one fixup step each way that never squares past ISQRT_MAX)."""
+    """Exact floor sqrt of int64 values 0 <= a <= 2^63 - 1; raises
+    ValueError on negative values.
+
+    The float sqrt is within one of the answer and, since every such a
+    converts to at most 2.0**63, never above floor(sqrt(2^63 - 1)), so q*q
+    cannot overflow.  One fixup step each way, without forming (q + 1)^2.
+    """
     a = np.asarray(a, dtype=INT)
-    if a.size and a.min() < 0:
+    if np.minimum.reduce(a, axis=None, initial=0) < 0:
         raise ValueError("exact_isqrt_many of a negative number")
     q = np.sqrt(a.astype(np.float64)).astype(INT)
-    np.minimum(q, ISQRT_MAX, out=q)
-    q -= q * q > a
-    q += a - q * q > 2 * q  # (q + 1)^2 <= a without forming (q + 1)^2
+    rem = a - q * q
+    q += rem > 2 * q  # (q + 1)^2 <= a
+    q -= rem < 0
     return q
 
 

@@ -138,6 +138,16 @@ def test_write_text_stdout(capsys):
     assert capsys.readouterr().out == "0 0\n"
 
 
+def test_write_text_str_and_bytes(tmp_path, capsys):
+    # counts passes str, generate passes bytes; both reach stdout in order
+    vio.write_text("r\n", None)
+    vio.write_text(b"0 0\n", None)
+    vio.write_text("1\n", None)
+    assert capsys.readouterr().out == "r\n0 0\n1\n"
+    out = tmp_path / "rows.csv"
+    vio.write_text("r,total\n0,1\n", str(out))
+    assert out.read_bytes() == b"r,total\n0,1\n"
+
 def test_write_text_failure_leaves_no_temp(tmp_path):
     target = tmp_path / "occupied"
     target.mkdir()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from voxsphere.lattice import (
     COORD_MAX,
-    ISQRT_MAX,
     IntegerInterval,
     absentee_witness,
     canonicalize,
@@ -22,6 +21,8 @@ from voxsphere.lattice import (
 )
 
 coords = st.integers(min_value=-3000, max_value=3000)
+INT64_MAX = 2**63 - 1
+ISQRT_MAX = math.isqrt(INT64_MAX)
 
 
 def test_isqrt_small():
@@ -101,20 +102,22 @@ def test_classify_many_matches_scalar():
 
 
 def test_exact_isqrt_many_exhaustive_edges():
-    # squares and near-squares are where float sqrt goes wrong
-    vals = []
-    for q in list(range(0, 300)) + [10**6, 10**7, 10**9]:
+    # squares and near-squares are where float sqrt goes wrong, up to the
+    # int64 edge where (q+1)^2 itself would overflow
+    vals = [INT64_MAX]
+    for q in (list(range(0, 300)) + [10**6, 10**7, 10**9]
+              + list(range(ISQRT_MAX - 50, ISQRT_MAX + 1))):
         vals += [q * q - 1, q * q, q * q + 1]
-    a = np.array([v for v in vals if v >= 0], dtype=np.int64)
+    a = np.array([v for v in vals if 0 <= v <= INT64_MAX], dtype=np.int64)
     out = exact_isqrt_many(a)
     for v, q in zip(a.tolist(), out.tolist()):
         assert q == math.isqrt(v)
 
 
-INT64_MAX = 2**63 - 1
-# the top of each domain plus values just below the squares near it
+# the top of each domain plus the squares near it and their neighbours
 isqrt_edge = (st.integers(0, INT64_MAX)
-              | st.integers(ISQRT_MAX - 3, ISQRT_MAX).map(lambda q: q * q - 1)
+              | st.builds(lambda q, d: q * q + d,
+                          st.integers(ISQRT_MAX - 3, ISQRT_MAX), st.integers(-1, 1))
               | st.integers(INT64_MAX - 2**40, INT64_MAX))
 coord_edge = (st.integers(-COORD_MAX, COORD_MAX)
               | st.integers(COORD_MAX - 5, COORD_MAX)
@@ -122,8 +125,7 @@ coord_edge = (st.integers(-COORD_MAX, COORD_MAX)
 
 
 def test_vector_helpers_at_the_int64_edge():
-    assert exact_isqrt_many([INT64_MAX]).tolist() == [math.isqrt(INT64_MAX)]
-    assert ISQRT_MAX == math.isqrt(INT64_MAX)
+    assert exact_isqrt_many([INT64_MAX]).tolist() == [ISQRT_MAX]
     assert 2 * COORD_MAX**2 + COORD_MAX < 2**63 <= 2 * (COORD_MAX + 1)**2 + COORD_MAX + 1
     q, absent = classify_many([COORD_MAX], [-COORD_MAX])
     assert (int(q[0]), bool(absent[0])) == classify_pixel(COORD_MAX, -COORD_MAX)
