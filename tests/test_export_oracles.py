@@ -35,10 +35,12 @@ def point_arrays(draw):
 @settings(max_examples=200, deadline=None)
 @given(point_arrays())
 def test_canonicalize_matches_unique(pts):
+    before = pts.copy()
     got = canonicalize(pts)
     want = oracle_canonicalize(pts)
     assert got.dtype == INT and got.shape == want.shape
     assert np.array_equal(got, want)
+    assert np.array_equal(pts, before)
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,13 +65,6 @@ def test_emit_across_real_chunk_boundaries(fmt, k):
     out = vio.emit(pts, fmt)
     assert out == ORACLE_EMITTERS[fmt](pts).encode()
     assert isinstance(out, bytes)
-
-
-def test_canonicalize_keeps_its_input():
-    pts = np.array([[2, 1, 0], [2, 1, 0], [-1, 5, 5]], dtype=INT)
-    before = pts.copy()
-    canonicalize(pts)
-    assert np.array_equal(pts, before)
 
 
 def test_canonicalize_rejects_non_2d():
