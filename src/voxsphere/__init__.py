@@ -22,8 +22,6 @@ from .lattice import (
 from .circle import (
     absentee_interval,
     circle_pixels,
-    circle_row_max,
-    circle_row_run,
     disc_absentees,
     disc_pixels,
     gap_band_index,
@@ -83,9 +81,9 @@ __all__ = [
     "IntegerInterval", "absentee_witness", "canonicalize", "ceil_sqrt",
     "classify_pixel", "isqrt", "on_digital_circle", "ring_radius",
     "symmetric_octet",
-    "absentee_interval", "circle_pixels", "circle_row_max", "circle_row_run",
-    "disc_absentees", "disc_pixels", "gap_band_index", "is_disc_absentee",
-    "parabolic_band_index", "run_interval", "union_circles",
+    "absentee_interval", "circle_pixels", "disc_absentees", "disc_pixels",
+    "gap_band_index", "is_disc_absentee", "parabolic_band_index",
+    "run_interval", "union_circles",
     "completed_sphere_count", "completed_sphere_voxels", "gap_plane",
     "generatrix", "hemisphere_absentees", "hemisphere_voxels",
     "is_sphere_absentee", "parabolic_family_contains", "sphere_absentees",

@@ -264,7 +264,7 @@ def check_solid(max_r: int, long: bool = False) -> list[CheckResult]:
     rmax = min(max_r, 64)
     ok = True
     for r in range(rmax + 1):
-        n_ad = analysis.enumerated_disc_absentee_count(r)
+        n_ad = len(circle.disc_absentees(r))
         if solid.absentee_line_count(r) != n_ad:
             ok = False
             break

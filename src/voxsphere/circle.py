@@ -16,19 +16,20 @@ never touch the axes.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
 
+from . import kernels
 from .lattice import (
     INT,
     IntegerInterval,
     canonicalize,
     ceil_sqrt,
+    classify_many,
     classify_pixel,
     isqrt,
-    symmetric_octet,
+    runs,
 )
 
 
@@ -45,79 +46,65 @@ def absentee_interval(w: int, k: int) -> IntegerInterval:
     return IntegerInterval(w * w - k * k + k, (w + 1) * (w + 1) - k * k - k)
 
 
-def circle_row_run(r: int, j: int) -> tuple[range, range]:
-    """The x-extents of the digital circle C(r) on row y = j, split into the
-    shallow part (x <= j, from the run interval) and the steep part (x > j,
-    from the dominant-x membership test).  Either range may be empty; their
-    union is a contiguous block of abscissas.
-    """
-    jj = abs(j)
-    if jj > r:
-        return range(0), range(0)
-    if r == 0:
-        return range(0, 1), range(0)
-    c = r * r - jj * jj
-    # shallow: x <= jj with x^2 in [c - jj, c + jj)
-    lo = ceil_sqrt(max(c - jj, 0))
-    hi = min(jj, isqrt(c + jj - 1)) if c + jj >= 1 else -1
-    shallow = range(lo, hi + 1) if lo <= hi else range(0)
-    # steep: x > jj with (2x-1)^2 < 4c < (2x+1)^2; 4c is never an odd square
-    if c >= 1:
-        u = isqrt(4 * c)
-        x = (u + 1) // 2
-        steep = range(x, x + 1) if x > jj else range(0)
-    else:
-        steep = range(0)
-    return shallow, steep
-
-
-def circle_row_max(r: int, j: int) -> int:
-    """Largest abscissa of C(r) on row y = j (-1 when the row is empty)."""
-    shallow, steep = circle_row_run(r, j)
-    if len(steep):
-        return steep[-1]
-    if len(shallow):
-        return shallow[-1]
-    return -1
-
-
 def circle_pixels(r: int) -> np.ndarray:
     """All pixels of the digital circle of radius r, canonicalized."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    if r == 0:
-        return np.array([[0, 0]], dtype=INT)
-    pts: list[tuple[int, int]] = []
-    for j in range(r + 1):
-        shallow, steep = circle_row_run(r, j)
-        for x in shallow:
-            pts.append((x, j))
-        for x in steep:
-            pts.append((x, j))
-    quad = np.array(pts, dtype=INT)
+    first, last = kernels.row_extents(r)
+    n = last - first + 1
+    quad = np.stack([runs(first, n), np.repeat(np.arange(r + 1, dtype=INT), n)], axis=1)
     images = [quad * s for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     return canonicalize(np.concatenate(images))
 
 
 def disc_pixels(r: int) -> np.ndarray:
     """All pixels of the digital disc of radius r: the circle C(r) together
-    with its interior, filled row by row.  Row y = j spans every |x| up to
-    the largest abscissa of C(r) on that row, so the disc also contains the
-    gap pixels that lie on no circle at all.
+    with its interior.  Row y = j spans every |x| up to the largest abscissa
+    of C(r) on that row, so the disc also contains the gap pixels that lie
+    on no circle at all.
+
+    The disc is symmetric under x <-> y, so it is filled column by column
+    instead (column x spans |y| <= the row maximum at |x|), which yields the
+    rows already in canonical order.
     """
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    rows = []
-    for j in range(-r, r + 1):
-        hw = circle_row_max(r, j)
-        xs = np.arange(-hw, hw + 1, dtype=INT)
-        row = np.empty((xs.size, 2), dtype=INT)
-        row[:, 0] = xs
-        row[:, 1] = j
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, 2), dtype=INT)
-    return canonicalize(np.concatenate(rows))
+    last = kernels.row_extents(r)[1]
+    h = last[np.abs(np.arange(-r, r + 1))]
+    n = 2 * h + 1
+    out = np.empty((int(n.sum()), 2), dtype=INT)
+    out[:, 0] = np.repeat(np.arange(-r, r + 1, dtype=INT), n)
+    out[:, 1] = runs(-h, n)
+    return out
+
+
+def _plane(n: int, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels of the box [-n, n]^2 in canonical order whose shell index
+    passes the mask function keep, and their shell index: 2q on the circle
+    C(q), 2w + 1 in the gap of witness w.  The box is classified a slab of
+    columns at a time, so memory follows the kept pixels."""
+    axis = np.arange(-n, n + 1, dtype=INT)
+    step = max(1, 2**18 // axis.size)
+    pix, shell = [], []
+    for x0 in range(0, axis.size, step):
+        box = np.stack(np.meshgrid(axis[x0:x0 + step], axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        q, absent = classify_many(box[:, 0], box[:, 1])
+        s = 2 * q + absent
+        k = keep(s)
+        pix.append(box[k])
+        shell.append(s[k])
+    return np.concatenate(pix), np.concatenate(shell)
+
+
+def _gap_pixels(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gap pixels with witness w <= r - 1 in canonical order, and their
+    witnesses.  Each lies inside D(r), hence in the box [-r, r]^2."""
+    pix, shell = _plane(r, lambda s: (s % 2 == 1) & (s < 2 * r))
+    return pix, shell // 2
+
+
+def _rings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pixels of C(0), ..., C(n) grouped by radius, and the group
+    offsets: C(s) is pix[start[s]:start[s + 1]], in canonical order."""
+    pix, shell = _plane(n, lambda s: (s % 2 == 0) & (s <= 2 * n))
+    order = np.argsort(shell, kind="stable")
+    return pix[order], np.searchsorted(shell[order], 2 * np.arange(n + 2))
 
 
 def union_circles(radii) -> np.ndarray:
@@ -150,16 +137,10 @@ def iter_octant_absentees(w: int) -> Iterator[tuple[int, int]]:
 def disc_absentees(r: int) -> np.ndarray:
     """All absentee pixels of the disc D(r): pixels inside the disc's extent
     lying on no C(s) with s <= r.  These are exactly the gap pixels with
-    witness w <= r - 1, expanded over the eight symmetries."""
+    witness w <= r - 1."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    parts = []
-    for w in range(1, r):
-        for x, k in iter_octant_absentees(w):
-            parts.append(symmetric_octet(x, k))
-    if not parts:
-        return np.zeros((0, 2), dtype=INT)
-    return canonicalize(np.concatenate(parts))
+    return _gap_pixels(r)[0]
 
 
 def is_disc_absentee(a: int, b: int) -> bool:

@@ -48,6 +48,17 @@ def _row_spans(r: int):
     return lo, hi, steep, xmax
 
 
+def row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, last) abscissas of C(r) on the rows j = 0..r.  Each quadrant
+    row of the circle is the contiguous run first..last: a steep pixel,
+    when present, directly follows the shallow run."""
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    lo, hi, steep, xmax = _row_spans(r)
+    first = np.concatenate([[r], np.where(hi >= lo, lo, steep)])
+    return first, np.concatenate([[r], xmax])
+
+
 def using_numba() -> bool:
     # numpy is the only backend; perfbench/run.py still records this flag in
     # every result it writes.

@@ -124,6 +124,16 @@ def exact_isqrt_many(a) -> np.ndarray:
     return q
 
 
+def runs(start, count) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over paired start/count arrays
+    (counts >= 0)."""
+    count = np.asarray(count, dtype=INT)
+    ends = np.cumsum(count)
+    out = np.arange(ends[-1] if ends.size else 0, dtype=INT)
+    out -= np.repeat(ends - count - start, count)
+    return out
+
+
 def symmetric_octet(a: int, b: int) -> np.ndarray:
     """All sign/swap images of (a, b), deduplicated and lexicographically sorted.
 

@@ -35,25 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import INT, canonicalize, classify_pixel, isqrt, symmetric_octet
-from .circle import circle_row_max, disc_pixels, gap_band_index, iter_octant_absentees
-from .sphere import _lift, _ring_at, completed_sphere_voxels
+from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
+from .circle import _gap_pixels, gap_band_index, iter_octant_absentees
+from .sphere import _lift, _lift_rings, _ring_at, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
 from . import kernels
-
-
-def _columns(a: int, b: int, jlo: int, jhi: int) -> np.ndarray:
-    """Voxels (i, j, k) with (i, k) in the symmetric octet of (a, b) and
-    jlo <= j <= jhi."""
-    octet = symmetric_octet(a, b)
-    js = np.arange(jlo, jhi + 1, dtype=INT)
-    cols = np.repeat(octet, js.size, axis=0)
-    out = np.empty((cols.shape[0], 3), dtype=INT)
-    out[:, 0] = cols[:, 0]
-    out[:, 1] = np.tile(js, octet.shape[0])
-    out[:, 2] = cols[:, 1]
-    return out
 
 
 def absentee_line_voxels(a: int, b: int, w: int) -> np.ndarray:
@@ -73,7 +60,9 @@ def absentee_line_voxels(a: int, b: int, w: int) -> np.ndarray:
     if q != w:
         raise ValueError(f"witness of ({a}, {b}) is {q}, not {w}")
     h = isqrt(w) + 1
-    return canonicalize(_columns(a, b, -h, h))
+    octet = symmetric_octet(a, b)
+    return canonicalize(_lift(np.repeat(octet, 2 * h + 1, axis=0),
+                              np.tile(np.arange(-h, h + 1, dtype=INT), len(octet))))
 
 
 def absentee_circle_voxels(s: int, j: int) -> np.ndarray:
@@ -105,19 +94,15 @@ def solid_absentee_voxels(r: int) -> np.ndarray:
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    parts = []
-    for w in range(1, r):
-        h = isqrt(w)
-        for x, k in iter_octant_absentees(w):
-            parts.append(_columns(x, k, -h, h))
-            parts.append(_ring_at(x, k))
-            parts.append(_ring_at(x, -k))
-            if x != k:
-                parts.append(_ring_at(k, x))
-                parts.append(_ring_at(k, -x))
-    if not parts:
-        return np.zeros((0, 3), dtype=INT)
-    return canonicalize(np.concatenate(parts))
+    gaps, w = _gap_pixels(r)
+    h = exact_isqrt_many(w)
+    n = 2 * h + 1
+    lines = _lift(np.repeat(gaps, n, axis=0), runs(-h, n))
+    # each gap pixel (s, j) with s > 0 is a cross-section pixel: ring C(s)
+    # in the plane y = j
+    cross = gaps[gaps[:, 0] > 0]
+    circles = _lift_rings(cross[:, 0], cross[:, 1], r)
+    return canonicalize(np.concatenate([lines, circles]))
 
 
 def solid_absentee_count(r: int) -> int:
@@ -152,17 +137,24 @@ def union_completed_spheres(r: int) -> np.ndarray:
 
 def completed_solid_voxels(r: int) -> np.ndarray:
     """The solid sphere of radius r in the revolution model: plane y = j
-    carries the filled digital disc of the widest ring swept there."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    discs: dict[int, np.ndarray] = {}
-    parts = []
-    for j in range(-r, r + 1):
-        s = circle_row_max(r, abs(j))
-        if s not in discs:
-            discs[s] = disc_pixels(s)
-        parts.append(_lift(discs[s], j))
-    return canonicalize(np.concatenate(parts))
+    carries the filled digital disc of the widest ring swept there.
+
+    Built as z-runs over (x, j): the disc of radius s holds (x, z) exactly
+    when |z| is at most the row maximum of C(s) at |x| (the disc_pixels
+    column fill), so the rows come out in canonical order.
+    """
+    s = kernels.row_extents(r)[1]  # disc radius of the planes y = +-j
+    last = np.full((r + 1, r + 1), -1, dtype=INT)  # last[t, x]: row maxima of C(t)
+    for t in set(s.tolist()):
+        last[t, :t + 1] = kernels.row_extents(t)[1]
+    ax = np.abs(np.arange(-r, r + 1))
+    h = last[s[ax]][:, ax].T.ravel()  # z half-height over (x, j), x-major
+    n = np.maximum(2 * h + 1, 0)
+    out = np.empty((int(n.sum()), 3), dtype=INT)
+    out[:, 0] = np.repeat(np.arange(-r, r + 1, dtype=INT), n.reshape(ax.size, -1).sum(axis=1))
+    out[:, 1] = np.repeat(np.tile(np.arange(-r, r + 1, dtype=INT), ax.size), n)
+    out[:, 2] = runs(-h, n)
+    return out
 
 
 def completed_solid_count(r: int) -> int:

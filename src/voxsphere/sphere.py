@@ -17,30 +17,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import analysis, circle
-from .lattice import INT, absentee_witness, canonicalize, classify_many, isqrt, symmetric_octet
+from . import analysis, circle, kernels
+from .lattice import (COORD_MAX, INT, absentee_witness, canonicalize, classify_many, isqrt,
+                      runs, symmetric_octet)
 
 
 def generatrix(r: int) -> np.ndarray:
     """First-quadrant arc of the digital circle C(r), ordered from (0, r) to
     (r, 0): planes descend, abscissas ascend within a plane.  Consecutive
     points differ by one of (+1, 0), (+1, -1), (0, -1)."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    if r == 0:
-        return np.array([[0, 0]], dtype=INT)
-    pts = []
-    for j in range(r, -1, -1):
-        shallow, steep = circle.circle_row_run(r, j)
-        for x in shallow:
-            pts.append((x, j))
-        for x in steep:
-            pts.append((x, j))
-    return np.array(pts, dtype=INT)
+    first, last = (a[::-1] for a in kernels.row_extents(r))
+    n = last - first + 1
+    return np.stack([runs(first, n), np.repeat(np.arange(r, -1, -1, dtype=INT), n)], axis=1)
 
 
-def _lift(pix: np.ndarray, j: int) -> np.ndarray:
-    """Pixels (x, z) placed in the plane y = j as voxels (x, j, z)."""
+def _lift(pix: np.ndarray, j) -> np.ndarray:
+    """Pixels (x, z) placed in the plane y = j as voxels (x, j, z); j is one
+    plane or one plane per pixel."""
     return np.insert(pix, 1, j, axis=1)
 
 
@@ -49,15 +42,18 @@ def _ring_at(s: int, j: int) -> np.ndarray:
     return _lift(circle.circle_pixels(s), j)
 
 
-def _gap_octets_at(w: int, j: int) -> list[np.ndarray]:
-    """The gap pixels of witness w, one array per symmetric octet, lifted to
-    the plane y = j."""
-    return [_lift(symmetric_octet(a, b), j) for a, b in circle.iter_octant_absentees(w)]
+def _lift_rings(s: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The ring C(s[i]) in the plane y = j[i] for every i, concatenated;
+    every radius must be at most n."""
+    pix, start = circle._rings(n)
+    size = start[s + 1] - start[s]
+    return _lift(pix[runs(start[s], size)], np.repeat(j, size))
 
 
 def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, canonicalized."""
-    return canonicalize(np.concatenate([_ring_at(x, j) for x, j in generatrix(r).tolist()]))
+    gen = generatrix(r)
+    return canonicalize(_lift_rings(gen[:, 0], gen[:, 1], r))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
@@ -97,7 +93,8 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
     w = int(gen[t, 0])
     if int(gen[t + 1, 0]) != w + 1:
         raise ValueError("step does not grow the swept radius")
-    parts = _gap_octets_at(w, gap_plane(int(gen[0, 1]), w))
+    j = gap_plane(int(gen[0, 1]), w)
+    parts = [_lift(symmetric_octet(a, b), j) for a, b in circle.iter_octant_absentees(w)]
     if not parts:
         return np.zeros((0, 3), dtype=INT)
     return canonicalize(np.concatenate(parts))
@@ -108,10 +105,9 @@ def hemisphere_absentees(r: int) -> np.ndarray:
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    parts = [vox for w in range(1, r) for vox in _gap_octets_at(w, gap_plane(r, w))]
-    if not parts:
-        return np.zeros((0, 3), dtype=INT)
-    return canonicalize(np.concatenate(parts))
+    gaps, w = circle._gap_pixels(r)
+    planes = np.array([gap_plane(r, v) for v in range(r)], dtype=INT)
+    return canonicalize(_lift(gaps, planes[w]))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
@@ -146,10 +142,17 @@ def is_sphere_absentee(v, r: int) -> bool:
 
 
 def is_sphere_absentee_many(vox: np.ndarray, r: int) -> np.ndarray:
-    """Vectorised is_sphere_absentee over an (N, 3) int array."""
+    """Vectorised is_sphere_absentee over an (N, 3) int array.
+
+    Exact for coordinates and r in [-COORD_MAX, COORD_MAX], where every
+    square below stays under 2^63; raises ValueError beyond it.
+    """
     vox = np.asarray(vox, dtype=INT)
     q, absent = classify_many(vox[:, 0], vox[:, 2])
-    jj = np.abs(vox[:, 1])
+    j = vox[:, 1]
+    if abs(r) > COORD_MAX or (j.size and (j.min() < -COORD_MAX or j.max() > COORD_MAX)):
+        raise ValueError(f"coordinates and radius must lie in [-{COORD_MAX}, {COORD_MAX}]")
+    jj = np.abs(j)
     c = r * r - jj * jj
     ww = q * q
     return absent & (c - jj <= ww) & (ww < c + jj)

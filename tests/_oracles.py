@@ -11,6 +11,7 @@ fast.
 from __future__ import annotations
 
 import functools
+import math
 from decimal import Decimal, ROUND_FLOOR, getcontext
 
 import numpy as np
@@ -158,6 +159,40 @@ def oracle_sphere_voxels(r: int) -> set[tuple[int, int, int]]:
         for a, b in ring:
             out.add((a, j, b))
             out.add((a, -j, b))
+    return out
+
+
+def _octet(a: int, b: int) -> set[tuple[int, int]]:
+    return {(sa * p, sb * q) for p, q in ((a, b), (b, a))
+            for sa in (1, -1) for sb in (1, -1)}
+
+
+def oracle_completed_solid_voxels(r: int) -> set[tuple[int, int, int]]:
+    """Plane by plane: the plane y = j carries the filled disc whose radius
+    is the largest abscissa of C(r) on row |j|."""
+    ring = oracle_circle_pixels(r)
+    out = set()
+    for j in range(-r, r + 1):
+        s = max(x for x, y in ring if y == abs(j))
+        out |= {(a, j, b) for a, b in oracle_disc_pixels(s)}
+    return out
+
+
+def oracle_solid_absentee_voxels(r: int) -> set[tuple[int, int, int]]:
+    """Gap pixel by gap pixel, from the package's scalar octant enumeration:
+    every octant gap pixel (x, k) with witness w <= r - 1 carries, over each
+    image in its octet, a line |j| <= isqrt(w), and the rings C(x) in the
+    planes y = +-k and C(k) in the planes y = +-x."""
+    from voxsphere.circle import iter_octant_absentees
+
+    out = set()
+    for w in range(1, r):
+        h = math.isqrt(w)
+        for x, k in iter_octant_absentees(w):
+            for a, b in _octet(x, k):
+                out |= {(a, j, b) for j in range(-h, h + 1)}
+            for s, j in ((x, k), (x, -k), (k, x), (k, -x)):
+                out |= {(a, j, b) for a, b in oracle_circle_pixels(s)}
     return out
 
 

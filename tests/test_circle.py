@@ -7,8 +7,6 @@ import _oracles as O
 from voxsphere.circle import (
     absentee_interval,
     circle_pixels,
-    circle_row_max,
-    circle_row_run,
     disc_absentees,
     disc_pixels,
     gap_band_index,
@@ -19,7 +17,8 @@ from voxsphere.circle import (
     run_interval,
     union_circles,
 )
-from voxsphere.lattice import absentee_witness, classify_pixel, on_digital_circle
+from voxsphere.kernels import row_extents
+from voxsphere.lattice import absentee_witness, canonicalize, classify_pixel, on_digital_circle
 
 CIRCLE_SIZES = [1, 4, 12, 16, 24, 28, 32, 40, 44, 52, 56, 64, 68, 72, 80, 84, 92]
 DISC_SIZES = [1, 5, 21, 37, 61, 97, 129, 177, 221, 277, 349]
@@ -54,7 +53,7 @@ def test_frozen_sizes():
 
 
 def test_negative_radius_rejected():
-    for fn in (circle_pixels, disc_pixels, disc_absentees):
+    for fn in (circle_pixels, disc_pixels, disc_absentees, row_extents):
         with pytest.raises(ValueError):
             fn(-1)
 
@@ -74,13 +73,32 @@ def test_disc_is_rings_plus_absentees(r):
 
 @pytest.mark.parametrize("r", [0, 1, 2, 5, 9, 16, 25, 40])
 def test_row_runs_cover_circle(r):
-    ring = as_set(circle_pixels(r))
-    for j in range(-r - 1, r + 2):
-        shallow, steep = circle_row_run(r, j)
-        row = {x for x in shallow} | {x for x in steep}
+    """Each quadrant row j of C(r) is exactly the run first[j]..last[j]."""
+    first, last = row_extents(r)
+    assert len(first) == len(last) == r + 1
+    ring = O.oracle_circle_pixels(r)
+    for j in range(r + 1):
         expect = {x for x, jj in ring if jj == j and x >= 0}
-        assert row == expect, (r, j)
-        assert circle_row_max(r, j) == (max(expect) if expect else -1)
+        assert set(range(first[j], last[j] + 1)) == expect, (r, j)
+
+
+def test_disc_and_gaps_come_out_canonical():
+    for r in range(201):
+        for arr in (disc_pixels(r), disc_absentees(r)):
+            assert np.array_equal(canonicalize(arr), arr), r
+
+
+def test_disc_is_xy_symmetric():
+    """disc_pixels fills columns, which equals the row fill of its definition
+    because the disc is symmetric under x <-> y: y <= last[x] iff
+    x <= last[y]."""
+    for r in range(1001):
+        last = row_extents(r)[1]
+        inside = np.arange(r + 1)[None, :] <= last[:, None]
+        assert (inside == inside.T).all(), r
+    for r in list(range(41)) + [100, 200, 500, 1000]:
+        disc = disc_pixels(r)
+        assert np.array_equal(canonicalize(disc[:, ::-1]), disc), r
 
 
 def test_run_interval_is_row_membership():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import _oracles as O
 from voxsphere.circle import disc_absentees, iter_octant_absentees
-from voxsphere.lattice import absentee_witness, isqrt
+from voxsphere.lattice import absentee_witness, canonicalize, isqrt
 from voxsphere.solid import (
     absentee_circle_count,
     absentee_circle_voxels,
@@ -104,6 +105,18 @@ def test_avs_disjoint_from_sphere_union_and_inside_solid(r):
     avs = as_set(solid_absentee_voxels(r))
     assert not (avs & as_set(union_completed_spheres(r)))
     assert avs <= as_set(completed_solid_voxels(r))
+
+
+@pytest.mark.parametrize("r", range(31))
+def test_solid_sets_match_loop_oracles(r):
+    assert as_set(completed_solid_voxels(r)) == O.oracle_completed_solid_voxels(r)
+    assert as_set(solid_absentee_voxels(r)) == O.oracle_solid_absentee_voxels(r)
+
+
+def test_completed_solid_comes_out_canonical():
+    for r in range(41):
+        vox = completed_solid_voxels(r)
+        assert np.array_equal(canonicalize(vox), vox), r
 
 
 def test_object_count_identities():

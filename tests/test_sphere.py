@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as O
 from voxsphere.circle import disc_absentees, iter_octant_absentees
+from voxsphere.lattice import COORD_MAX, classify_pixel
 from voxsphere.sphere import (
     completed_sphere_count,
     completed_sphere_voxels,
@@ -157,6 +160,39 @@ def test_predicate_vectorised_matches_scalar():
         many = is_sphere_absentee_many(vox, r)
         for row, flag in zip(vox, many):
             assert bool(flag) == is_sphere_absentee(tuple(int(c) for c in row), r)
+
+
+coord_edge = (st.integers(-COORD_MAX, COORD_MAX)
+              | st.integers(COORD_MAX - 5, COORD_MAX)
+              | st.integers(-COORD_MAX, -COORD_MAX + 5))
+radius_edge = st.integers(0, COORD_MAX) | st.integers(COORD_MAX - 5, COORD_MAX)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_predicate_vectorised_matches_scalar_at_the_edges(data):
+    r = data.draw(radius_edge)
+    vox = data.draw(st.lists(st.tuples(coord_edge, coord_edge, coord_edge),
+                             min_size=1, max_size=20))
+    # voxels on and next to the gap plane of their pixel's witness, so that
+    # absentees occur too: a pixel in the box |a|, |b| <= r/2 has w < r
+    half = st.integers(-(r // 2), r // 2)
+    for a, b in data.draw(st.lists(st.tuples(half, half), max_size=10)):
+        w, absent = classify_pixel(a, b)
+        if absent:
+            j = gap_plane(r, w)
+            vox += [(a, j, b), (a, -j, b), (a, j - 1, b), (a, min(j + 1, COORD_MAX), b)]
+    got = is_sphere_absentee_many(np.array(vox, dtype=np.int64), r).tolist()
+    assert got == [is_sphere_absentee(v, r) for v in vox]
+
+
+@pytest.mark.parametrize("vox, r", [
+    ((1, 2**32, 1), 5), ((1, COORD_MAX + 1, 1), 5), ((1, -2**63, 1), 5),
+    ((1, 0, 1), COORD_MAX + 1), ((1, 0, 1), -COORD_MAX - 1),
+    ((COORD_MAX + 1, 0, 0), 5)])
+def test_predicate_vectorised_rejects_past_its_domain(vox, r):
+    with pytest.raises(ValueError):
+        is_sphere_absentee_many(np.array([vox], dtype=np.int64), r)
 
 
 def test_completed_sphere_has_no_gaps_left():
