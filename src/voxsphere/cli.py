@@ -22,7 +22,8 @@ from . import analysis, checks, circle, io, solid, sphere
 # Materializing a solid beyond this radius needs gigabytes; counts stream
 # and are bounded only by the int64 tallies (safe through r = 1_000_000,
 # though building the tally tables costs time quadratic in the largest
-# radius requested).
+# radius requested: about 0.9 s to r = 10^4 and 80 s to r = 10^5 on a
+# 2-vCPU Xeon).
 SOLID_MATERIALIZE_CAP = 1500
 COUNT_RADIUS_CAP = 1_000_000
 
@@ -41,7 +42,9 @@ SOLID_SHAPES = {"solid", "solid-absentees", "solid-complete"}
 
 
 def _parse_radii(spec: str) -> list[int]:
-    """Comma list of radii or "a..b[:step]" ranges; values may mix."""
+    """Comma list of radii or "a..b[:step]" ranges; values may mix.  Each
+    value must lie in 0..COUNT_RADIUS_CAP, checked before a range is
+    expanded."""
     radii = []
     for token in spec.split(","):
         token = token.strip()
@@ -54,13 +57,14 @@ def _parse_radii(spec: str) -> list[int]:
             step = int(step_s) if step_s else 1
             if step <= 0 or hi < lo:
                 raise ValueError(f"bad range {token!r}")
-            radii.extend(range(lo, hi + 1, step))
         else:
-            radii.append(int(token))
-    if not radii:
-        raise ValueError("no radii given")
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be non-negative")
+            lo = hi = int(token)
+            step = 1
+        if lo < 0:
+            raise ValueError("radii must be non-negative")
+        if hi > COUNT_RADIUS_CAP:
+            raise ValueError(f"counts support radii up to {COUNT_RADIUS_CAP}")
+        radii.extend(range(lo, hi + 1, step))
     return radii
 
 
@@ -83,10 +87,6 @@ def cmd_counts(args) -> int:
         radii = _parse_radii(args.radii)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if any(r > COUNT_RADIUS_CAP for r in radii):
-        print(f"error: counts support radii up to {COUNT_RADIUS_CAP}",
-              file=sys.stderr)
         return 2
     rows = (analysis.sphere_table(radii) if args.kind == "sphere"
             else analysis.solid_table(radii))

@@ -1,5 +1,4 @@
-"""Hot integer-counting kernels, vectorised with numpy over the rows of one
-radius.
+"""Hot integer-counting kernels, vectorised with numpy.
 
 Every row of a table depends only on its own radius (circ also reads csz), so
 size_tables and gap_tallies can compute the rows from ``start`` on by
@@ -15,15 +14,26 @@ Table conventions:
     circ[w] -- sum over octant gap pixels (x <= k, witness w) of
                 csz[x] (+ csz[k] when x < k): the per-hemisphere ring-voxel
                 budget of the gap's two swept circles
+
+Both table builders work on octant rows: pairs (r, j) of a radius and a row
+j >= 1 whose pixels (x, j) with 0 <= x <= j are counted and then multiplied
+out by the eight-fold symmetry.  Only the rows from about r / sqrt(2) up to
+r can hold a circle pixel or a gap pixel in the octant; the rows below that
+are full rows of the disc, counted in closed form.  So a radius needs about
+0.29 r pairs, each one exact ceil-sqrt.  The pairs of consecutive radii are
+laid out flat (``lattice.runs`` for the rows, ``np.repeat`` for the radius),
+in blocks of about _BLOCK pairs, and summed per radius with
+``np.add.reduceat`` in int64: the Python loop runs once per block, not once
+per radius, and a block's working set stays small.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .lattice import INT, exact_isqrt_many
+from .lattice import INT, exact_isqrt_many, runs
+
+_BLOCK = 2**13  # (radius, row) pairs per block of the table builders
 
 
 def _ceil_sqrt(a: np.ndarray) -> np.ndarray:
@@ -65,18 +75,57 @@ def using_numba() -> bool:
     return False
 
 
+def _blocks(count: np.ndarray):
+    """(a, b) index ranges of consecutive radii holding about _BLOCK pairs
+    each, where radius i has count[i] pairs: a block closes before the first
+    radius whose pairs start past the next multiple of _BLOCK."""
+    if not count.size:
+        return ()
+    block = (np.cumsum(count) - count) // _BLOCK
+    cut = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+    return zip([0] + cut, cut + [count.size])
+
+
 def size_tables(rmax: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(csz, dsz) for radii start..rmax."""
+    """(csz, dsz) for radii start..rmax.
+
+    The octant row j of C(r) is the run of x in [G_j, F_j) clipped to x <= j,
+    with F_j = ceil_sqrt(r^2 - j^2 + j) and G_j = ceil_sqrt(r^2 - j^2 - j);
+    it is empty below j0 = max(1, isqrt(r^2 / 2)), where the disc row is
+    full.  Counting a diagonal pixel (x = j) as half an octant pixel makes
+    both sizes sums of 2*min(F, j + 1) - [F > j] = min(2F, 2j + 1):
+        csz[r] = 4 * sum(min(2F, 2j+1) - min(2G, 2j+1)) - 4
+        dsz[r] = 4 * sum(min(2F, 2j+1)) + 4 * (j0^2 - 1) - 4r + 1
+    over j = j0..r; the -4, -4r and +1 undo the over-count of the axis
+    pixels and the origin.  G_j has the argument of F_{j+1}, so one
+    ceil-sqrt per pair serves both, and G_r = 0.
+    """
     if rmax < 0:
         raise ValueError("rmax must be non-negative")
     if not 0 <= start <= rmax + 1:
         raise ValueError("start must lie in 0..rmax+1")
     csz = np.ones(rmax + 1 - start, INT)  # C(0) and D(0) are the origin alone
     dsz = csz.copy()
-    for r in range(max(start, 1), rmax + 1):
-        lo, hi, steep, xmax = _row_spans(r)
-        csz[r - start] = 4 * int((np.maximum(hi - lo + 1, 0) + (steep >= 0)).sum())
-        dsz[r - start] = (2 * r + 1) + 2 * int((2 * xmax + 1).sum())
+    r = np.arange(max(start, 1), rmax + 1, dtype=INT)
+    rr = r * r
+    j0 = np.maximum(exact_isqrt_many(rr // 2), 1)
+    rows = r - j0 + 1
+    o = csz.size - r.size  # 1 when the tables start at radius 0
+    for a, b in _blocks(rows):
+        n = rows[a:b]
+        j = runs(j0[a:b], n)
+        s2 = 2 * _ceil_sqrt(np.repeat(rr[a:b], n) - j * j + j)
+        t = 2 * j + 1
+        f2 = np.minimum(s2, t)
+        ends = np.cumsum(n)
+        g2 = np.empty_like(s2)
+        g2[:-1] = s2[1:]
+        g2[ends - 1] = 0
+        np.minimum(g2, t, out=g2)
+        seg = ends - n
+        csz[o + a:o + b] = 4 * np.add.reduceat(f2 - g2, seg) - 4
+        dsz[o + a:o + b] = (4 * np.add.reduceat(f2, seg) + 4 * j0[a:b] ** 2
+                            - 3 - 4 * r[a:b])
     return csz, dsz
 
 
@@ -104,27 +153,34 @@ def solid_totals(r: int, dsz: np.ndarray) -> int:
 
 
 def gap_tallies(wmax: int, csz: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(cnt, circ) for witnesses start..wmax; csz must cover radii 0..wmax."""
+    """(cnt, circ) for witnesses start..wmax; csz must cover radii 0..wmax.
+
+    The octant row k of the gap of witness w holds at most one pixel: the
+    least x with x^2 >= w^2 - k^2 + k, when x <= k and x^2 < (w+1)^2 - k^2 - k.
+    Rows below isqrt(w^2 / 2) - 2 hold none.
+    """
     if wmax < 0:
         raise ValueError("wmax must be non-negative")
     if not 0 <= start <= wmax + 1:
         raise ValueError("start must lie in 0..wmax+1")
     cnt = np.zeros(wmax + 1 - start, INT)
     circ = np.zeros(wmax + 1 - start, INT)
-    for w in range(max(start, 1), wmax + 1):
-        k0 = max(1, math.isqrt((w * w) // 2) - 2)
-        k = np.arange(k0, w + 1, dtype=INT)
-        lo = w * w - k * k + k
-        hi = (w + 1) * (w + 1) - k * k - k
+    w = np.arange(max(start, 1), wmax + 1, dtype=INT)
+    ww = w * w
+    k0 = np.maximum(exact_isqrt_many(ww // 2) - 2, 1)
+    rows = w - k0 + 1
+    o = cnt.size - w.size  # 1 when the tables start at witness 0
+    for a, b in _blocks(rows):
+        n = rows[a:b]
+        k = runs(k0[a:b], n)
+        lo = np.repeat(ww[a:b], n) - k * k + k
         x = _ceil_sqrt(lo)
-        hit = (x * x < hi) & (x <= k)  # k <= w keeps hi - lo = 2(w - k) + 1 > 0
-        if not hit.any():
-            continue
-        xh = x[hit]
-        kh = k[hit]
-        diag = xh == kh
-        cnt[w - start] = 4 * int(diag.sum()) + 8 * int((~diag).sum())
-        circ[w - start] = int(csz[xh].sum() + csz[kh[~diag]].sum())
+        # x^2 < (w+1)^2 - k^2 - k, as x^2 - lo < 2(w - k) + 1
+        hit = (x * x - lo < 2 * (np.repeat(w[a:b], n) - k) + 1) & (x <= k)
+        off = hit & (x < k)
+        seg = np.cumsum(n) - n
+        cnt[o + a:o + b] = np.add.reduceat(4 * hit + 4 * off, seg)
+        circ[o + a:o + b] = np.add.reduceat(hit * csz[x] + off * csz[k], seg)
     return cnt, circ
 
 

@@ -196,6 +196,46 @@ def oracle_solid_absentee_voxels(r: int) -> set[tuple[int, int, int]]:
     return out
 
 
+def oracle_size_tables(rmax: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(csz, dsz) for radii start..rmax, one radius at a time over all of its
+    rows j = 1..r: the table builder the blocked octant sweep replaced."""
+    from voxsphere.kernels import _row_spans
+    from voxsphere.lattice import INT
+
+    csz = np.ones(rmax + 1 - start, INT)  # C(0) and D(0) are the origin alone
+    dsz = csz.copy()
+    for r in range(max(start, 1), rmax + 1):
+        lo, hi, steep, xmax = _row_spans(r)
+        csz[r - start] = 4 * int((np.maximum(hi - lo + 1, 0) + (steep >= 0)).sum())
+        dsz[r - start] = (2 * r + 1) + 2 * int((2 * xmax + 1).sum())
+    return csz, dsz
+
+
+def oracle_gap_tallies(wmax: int, csz: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(cnt, circ) for witnesses start..wmax, one witness at a time: the
+    tally loop the blocked octant sweep replaced."""
+    from voxsphere.kernels import _ceil_sqrt
+    from voxsphere.lattice import INT
+
+    cnt = np.zeros(wmax + 1 - start, INT)
+    circ = np.zeros(wmax + 1 - start, INT)
+    for w in range(max(start, 1), wmax + 1):
+        k0 = max(1, math.isqrt((w * w) // 2) - 2)
+        k = np.arange(k0, w + 1, dtype=INT)
+        lo = w * w - k * k + k
+        hi = (w + 1) * (w + 1) - k * k - k
+        x = _ceil_sqrt(lo)
+        hit = (x * x < hi) & (x <= k)  # k <= w keeps hi - lo = 2(w - k) + 1 > 0
+        if not hit.any():
+            continue
+        xh = x[hit]
+        kh = k[hit]
+        diag = xh == kh
+        cnt[w - start] = 4 * int(diag.sum()) + 8 * int((~diag).sum())
+        circ[w - start] = int(csz[xh].sum() + csz[kh[~diag]].sum())
+    return cnt, circ
+
+
 def oracle_flood_outside(occ: np.ndarray) -> np.ndarray:
     """Breadth-first search from every free boundary cell through the free
     cells of a 3-D grid (occ: 1 = occupied), stepping to the six face

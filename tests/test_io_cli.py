@@ -8,6 +8,7 @@ and require byte-identical output.
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,21 @@ def test_counts_radius_cap(capsys):
                          "--radii", "10000")
     assert rc == 0
     assert out.splitlines()[1] == "10000,1009962778,62633152,1072595930,0.058394"
+
+
+@pytest.mark.parametrize("spec", ["0..3000000", f"0..{10**15}"])
+def test_counts_cap_checked_before_expanding(capsys, spec):
+    """A range past the cap is refused before it becomes a list of radii."""
+    tracemalloc.start()
+    try:
+        rc, _, err = run_cli(capsys, "counts", "--kind", "sphere",
+                             "--radii", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "up to 1000000" in err
+    assert peak < 1_000_000
 
 
 # ------------------------------------------------------------------ verify

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _oracles import oracle_flood_outside
+from _oracles import oracle_flood_outside, oracle_gap_tallies, oracle_size_tables
 from voxsphere import analysis, kernels, solid, sphere
 from voxsphere.circle import circle_pixels, disc_pixels
 from voxsphere.lattice import absentee_witness
 
 RMAX = 96
+BIG = 3000  # a build to BIG spans many blocks of the table builders
 
 
 def test_size_tables_match_enumeration():
@@ -39,6 +41,75 @@ def test_gap_tallies_match_enumeration():
         tail_n, tail_c = kernels.gap_tallies(RMAX - 1, csz, start=start)
         assert np.array_equal(tail_n, cnt[start:])
         assert np.array_equal(tail_c, circ[start:])
+
+
+@pytest.fixture(scope="module")
+def reference_tables():
+    """csz, dsz, cnt and circ to BIG from the per-radius reference loops."""
+    csz, dsz = oracle_size_tables(BIG)
+    cnt, circ = oracle_gap_tallies(BIG - 1, csz)
+    return csz, dsz, cnt, circ
+
+
+def _starts(top: int, drop: int) -> list[int]:
+    """Starts to test for a build of radii 1..top in which radius r has the
+    rows max(1, isqrt(r^2 / 2) - drop)..r: 0, 1, 2, top and top + 1, and
+    each radius that opens a block, with its two neighbours, sampled (the
+    first and last three openers and every eighth in between)."""
+    r = np.arange(1, top + 1)
+    rows = r - np.array([max(1, math.isqrt(v * v // 2) - drop) for v in r]) + 1
+    block = (np.cumsum(rows) - rows) // kernels._BLOCK
+    opener = r[1:][block[1:] != block[:-1]].tolist()
+    assert len(opener) > 50
+    opener = opener[:3] + opener[3:-3:8] + opener[-3:]
+    return sorted({0, 1, 2, top, top + 1}
+                  | {b + d for b in opener for d in (-1, 0, 1)})
+
+
+def test_size_tables_match_reference_across_blocks(reference_tables):
+    csz, dsz = reference_tables[:2]
+    for start in _starts(BIG, drop=0):
+        tail_c, tail_d = kernels.size_tables(BIG, start=start)
+        assert tail_c.dtype == tail_d.dtype == np.int64
+        assert np.array_equal(tail_c, csz[start:]), start
+        assert np.array_equal(tail_d, dsz[start:]), start
+
+
+def test_gap_tallies_match_reference_across_blocks(reference_tables):
+    csz, _, cnt, circ = reference_tables
+    for start in _starts(BIG - 1, drop=2):
+        tail_n, tail_c = kernels.gap_tallies(BIG - 1, csz, start=start)
+        assert tail_n.dtype == tail_c.dtype == np.int64
+        assert np.array_equal(tail_n, cnt[start:]), start
+        assert np.array_equal(tail_c, circ[start:]), start
+
+
+def test_tables_grown_across_blocks_match_reference(reference_tables):
+    csz, dsz, cnt, circ = reference_tables
+    tables = analysis._Tables()
+    for r in (0, 1, 2, 7, 300, BIG - 1, BIG):
+        tables.grow(r)
+        witnesses = max(r, 1)  # witnesses 0..max(r - 1, 0)
+        assert np.array_equal(tables.csz, csz[:r + 1])
+        assert np.array_equal(tables.dsz, dsz[:r + 1])
+        assert np.array_equal(tables.cpref, kernels.circle_prefix(csz[:r + 1]))
+        assert np.array_equal(tables.cnt, cnt[:witnesses])
+        assert np.array_equal(tables.circ, circ[:witnesses])
+
+
+def test_table_builders_keep_a_small_working_set():
+    """The blocks bound what a build to r = 10^4 holds at once: its
+    tracemalloc peak stays under 2 MB (its two output arrays take 160 kB)."""
+    csz, _ = kernels.size_tables(10_000)
+    for build in (lambda: kernels.size_tables(10_000),
+                  lambda: kernels.gap_tallies(9_999, csz)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 def test_circle_prefix():
