@@ -55,14 +55,17 @@ class _Tables:
         """Compute the rows rmax has and the cache lacks, and append them."""
         if rmax <= self.rmax:
             return
-        csz, dsz = kernels.size_tables(rmax, start=self.rmax + 1)
-        self.csz = np.concatenate([self.csz, csz])
-        self.dsz = np.concatenate([self.dsz, dsz])
+        lo = self.rmax + 1
+        self.csz = np.concatenate([self.csz, kernels.size_tables(rmax, start=lo)])
         self.cpref = kernels.circle_prefix(self.csz)  # one cumsum, O(rmax)
         cnt, circ = kernels.gap_tallies(max(rmax - 1, 0), self.csz,
                                         start=self.cnt.size)
         self.cnt = np.concatenate([self.cnt, cnt])
         self.circ = np.concatenate([self.circ, circ])
+        # D(r) is C(0..r) plus the gaps of witnesses 0..r-1
+        gaps = kernels.circle_prefix(self.cnt)
+        self.dsz = np.concatenate(
+            [self.dsz, self.cpref[lo + 1:] + gaps[lo:rmax + 1]])
         self.rmax = rmax
 
 

@@ -15,17 +15,17 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import analysis, checks, circle, io, solid, sphere
 
-# Materializing a solid beyond this radius needs gigabytes; counts stream
-# and are bounded only by the int64 tallies (safe through r = 1_000_000,
-# though building the tally tables costs time quadratic in the largest
-# radius requested: about 0.9 s to r = 10^4 and 80 s to r = 10^5 on a
-# 2-vCPU Xeon).
+# Materializing a solid beyond this radius needs gigabytes.  Counts stream,
+# but building the tally tables costs time quadratic in the largest radius
+# requested: about 0.55 s to r = 10^4 and 45 s to r = 10^5 on a 2-vCPU
+# Xeon, so the cap is the largest radius whose build time is measured.
 SOLID_MATERIALIZE_CAP = 1500
-COUNT_RADIUS_CAP = 1_000_000
+COUNT_RADIUS_CAP = 100_000
 
 GENERATORS = {
     "circle": circle.circle_pixels,
@@ -146,6 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # checked before any work: io.write_text would fail only at the end
+    out = getattr(args, "out", None)
+    if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        print(f"error: no such directory for --out: {out}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -8,23 +8,34 @@ rebuilding them.
 Table conventions:
     csz[s]  -- pixel count of the digital circle of radius s
     dsz[s]  -- pixel count of the filled digital disc of radius s
-                (circle pixels of radii 0..s plus the gap pixels between them)
     cnt[w]  -- full-plane count of gap pixels with witness w (strictly
                 between the circles of radii w and w+1)
     circ[w] -- sum over octant gap pixels (x <= k, witness w) of
                 csz[x] (+ csz[k] when x < k): the per-hemisphere ring-voxel
                 budget of the gap's two swept circles
 
-Both table builders work on octant rows: pairs (r, j) of a radius and a row
-j >= 1 whose pixels (x, j) with 0 <= x <= j are counted and then multiplied
-out by the eight-fold symmetry.  Only the rows from about r / sqrt(2) up to
-r can hold a circle pixel or a gap pixel in the octant; the rows below that
-are full rows of the disc, counted in closed form.  So a radius needs about
-0.29 r pairs, each one exact ceil-sqrt.  The pairs of consecutive radii are
-laid out flat (``lattice.runs`` for the rows, ``np.repeat`` for the radius),
-in blocks of about _BLOCK pairs, and summed per radius with
-``np.add.reduceat`` in int64: the Python loop runs once per block, not once
-per radius, and a block's working set stays small.
+A disc is its circles plus its gap pixels and nothing else, so
+analysis._Tables derives dsz[r] = csz[0..r].sum() + cnt[0..r-1].sum().
+
+The counts work on octant rows: pairs (r, j) of a radius and a row j >= 1
+whose pixels (x, j) with 0 <= x <= j are counted and then multiplied out by
+the eight-fold symmetry.  gap_tallies is the one sweep over them, about
+0.29 r pairs per radius from row r / sqrt(2) up, each one exact ceil-sqrt.
+The pairs of consecutive radii are laid out flat (``lattice.runs`` for the
+rows, ``np.repeat`` for the radius), in blocks of about _BLOCK pairs, and
+summed per radius with ``np.add.reduceat`` in int64: the Python loop runs
+once per block, not once per radius, and a block's working set stays small.
+
+size_tables needs four rows per radius.  With F_j = ceil_sqrt(r^2 - j^2 + j)
+(0 for j > r), the octant row j of C(r) is x in [F_{j+1}, F_j) clipped to
+x <= j; a diagonal pixel counted as half, it holds (min(2F_j, 2j+1) -
+min(2F_{j+1}, 2j+1)) / 2 pixels.  From a row k0 on, the sum telescopes to
+min(2F_k0, 2k0+1) plus, for each later row, clip(2F_j - 2j + 1, 0, 2),
+which is zero unless (2j - 1)(j - 1) < r^2.  With m = isqrt(r^2 / 2),
+r^2 < 2(m+1)^2 <= (2m+3)(m+1), so the rows from m + 2 on drop out; a row
+j < m is empty (r^2 >= 2(j+1)^2 > 2j^2 + j, so F_{j+1} > j), so any
+k0 <= m will do.  k0 = max(m - 2, 1), where gap_tallies starts, leaves the
+rows k0..k0+3, and csz[r] = 4 * sum - 4 (the axis pixels count twice).
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import numpy as np
 
 from .lattice import INT, exact_isqrt_many, runs
 
-_BLOCK = 2**13  # (radius, row) pairs per block of the table builders
+_BLOCK = 2**13  # (radius, row) pairs per block of gap_tallies
 
 
 def _ceil_sqrt(a: np.ndarray) -> np.ndarray:
@@ -86,47 +97,23 @@ def _blocks(count: np.ndarray):
     return zip([0] + cut, cut + [count.size])
 
 
-def size_tables(rmax: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(csz, dsz) for radii start..rmax.
-
-    The octant row j of C(r) is the run of x in [G_j, F_j) clipped to x <= j,
-    with F_j = ceil_sqrt(r^2 - j^2 + j) and G_j = ceil_sqrt(r^2 - j^2 - j);
-    it is empty below j0 = max(1, isqrt(r^2 / 2)), where the disc row is
-    full.  Counting a diagonal pixel (x = j) as half an octant pixel makes
-    both sizes sums of 2*min(F, j + 1) - [F > j] = min(2F, 2j + 1):
-        csz[r] = 4 * sum(min(2F, 2j+1) - min(2G, 2j+1)) - 4
-        dsz[r] = 4 * sum(min(2F, 2j+1)) + 4 * (j0^2 - 1) - 4r + 1
-    over j = j0..r; the -4, -4r and +1 undo the over-count of the axis
-    pixels and the origin.  G_j has the argument of F_{j+1}, so one
-    ceil-sqrt per pair serves both, and G_r = 0.
-    """
+def size_tables(rmax: int, start: int = 0) -> np.ndarray:
+    """csz for radii start..rmax, from the rows k0..k0+3 of each radius
+    (module docstring)."""
     if rmax < 0:
         raise ValueError("rmax must be non-negative")
     if not 0 <= start <= rmax + 1:
         raise ValueError("start must lie in 0..rmax+1")
-    csz = np.ones(rmax + 1 - start, INT)  # C(0) and D(0) are the origin alone
-    dsz = csz.copy()
+    csz = np.ones(rmax + 1 - start, INT)  # C(0) is the origin alone
     r = np.arange(max(start, 1), rmax + 1, dtype=INT)
     rr = r * r
-    j0 = np.maximum(exact_isqrt_many(rr // 2), 1)
-    rows = r - j0 + 1
-    o = csz.size - r.size  # 1 when the tables start at radius 0
-    for a, b in _blocks(rows):
-        n = rows[a:b]
-        j = runs(j0[a:b], n)
-        s2 = 2 * _ceil_sqrt(np.repeat(rr[a:b], n) - j * j + j)
-        t = 2 * j + 1
-        f2 = np.minimum(s2, t)
-        ends = np.cumsum(n)
-        g2 = np.empty_like(s2)
-        g2[:-1] = s2[1:]
-        g2[ends - 1] = 0
-        np.minimum(g2, t, out=g2)
-        seg = ends - n
-        csz[o + a:o + b] = 4 * np.add.reduceat(f2 - g2, seg) - 4
-        dsz[o + a:o + b] = (4 * np.add.reduceat(f2, seg) + 4 * j0[a:b] ** 2
-                            - 3 - 4 * r[a:b])
-    return csz, dsz
+    k0 = np.maximum(exact_isqrt_many(rr // 2) - 2, 1)
+    acc = np.minimum(2 * _ceil_sqrt(rr - k0 * k0 + k0), 2 * k0 + 1)
+    for d in (1, 2, 3):  # one row at a time keeps the working set O(R)
+        j = k0 + d
+        acc += np.clip(2 * _ceil_sqrt(rr - j * j + j) - 2 * j + 1, 0, 2)
+    csz[csz.size - r.size:] = 4 * acc - 4
+    return csz
 
 
 def circle_prefix(csz: np.ndarray) -> np.ndarray:

@@ -149,9 +149,9 @@ def test_solid_ratios_all_match():
 
 @pytest.mark.slow
 def test_tallies_at_scale():
-    """Frozen rows at r = 100000: exercises the int64 tallies three orders
-    of magnitude past the published tables (about 80 s on a 2-vCPU
-    Xeon)."""
+    """Frozen rows at r = 100000, the counts radius cap: exercises the
+    closed circle sizes, the gap sweep and the int64 tallies ten times
+    past the largest published radius (about 45 s on a 2-vCPU Xeon)."""
     row = sphere_count_row(100_000)
     assert row == CountRow(100_000, 100997086030, 6263309800, 107260395830)
     assert row.absentee % 8 == 0

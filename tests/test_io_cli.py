@@ -426,10 +426,14 @@ def test_counts_bad_radii(capsys, spec):
 
 
 def test_counts_radius_cap(capsys):
-    rc, _, err = run_cli(capsys, "counts", "--kind", "solid",
-                         "--radii", "1000001")
-    assert rc == 2
-    assert "up to 1000000" in err
+    """The cap is the radius whose build the --runslow tally test times."""
+    assert cli._parse_radii("100000") == [100_000]
+    assert cli._parse_radii("99999..100000") == [99_999, 100_000]
+    for spec in ("100001", "1000001"):
+        rc, out, err = run_cli(capsys, "counts", "--kind", "solid",
+                               "--radii", spec)
+        assert rc == 2 and out == ""
+        assert err == "error: counts support radii up to 100000\n"
     rc, out, _ = run_cli(capsys, "counts", "--kind", "sphere",
                          "--radii", "10000")
     assert rc == 0
@@ -447,8 +451,26 @@ def test_counts_cap_checked_before_expanding(capsys, spec):
     finally:
         tracemalloc.stop()
     assert rc == 2
-    assert "up to 1000000" in err
+    assert err.endswith("up to 100000\n")
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("argv", [("generate", "circle", "-r", "3"),
+                                  ("counts", "--kind", "sphere", "--radii", "10")])
+def test_out_into_missing_directory(capsys, monkeypatch, tmp_path, argv):
+    """--out in a directory that does not exist is an invalid argument
+    (exit 2), refused before any shape or table is built."""
+    def no_work(*_):
+        raise AssertionError("work started")
+
+    monkeypatch.setitem(cli.GENERATORS, "circle", no_work)
+    monkeypatch.setattr(cli.analysis, "sphere_table", no_work)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "out.txt", tmp_path / "file" / "out.txt"):
+        rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert rc == 2 and stdout == ""
+        assert err == f"error: no such directory for --out: {out}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 # ------------------------------------------------------------------ verify

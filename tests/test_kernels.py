@@ -10,23 +10,23 @@ from voxsphere.circle import circle_pixels, disc_pixels
 from voxsphere.lattice import absentee_witness
 
 RMAX = 96
-BIG = 3000  # a build to BIG spans many blocks of the table builders
+BIG = 3000  # a build to BIG spans many blocks of gap_tallies
 
 
 def test_size_tables_match_enumeration():
-    csz, dsz = kernels.size_tables(RMAX)
-    assert csz.shape == dsz.shape == (RMAX + 1,)
+    csz = kernels.size_tables(RMAX)
+    assert csz.shape == (RMAX + 1,)
+    tables = analysis._Tables()
+    tables.grow(RMAX)
     for r in range(0, 33):
         assert csz[r] == len(circle_pixels(r))
-        assert dsz[r] == len(disc_pixels(r))
+        assert tables.dsz[r] == len(disc_pixels(r))
     for start in (0, 1, 2, 50, RMAX, RMAX + 1):
-        tail_c, tail_d = kernels.size_tables(RMAX, start=start)
-        assert np.array_equal(tail_c, csz[start:])
-        assert np.array_equal(tail_d, dsz[start:])
+        assert np.array_equal(kernels.size_tables(RMAX, start=start), csz[start:])
 
 
 def test_gap_tallies_match_enumeration():
-    csz, _ = kernels.size_tables(RMAX)
+    csz = kernels.size_tables(RMAX)
     cnt, circ = kernels.gap_tallies(RMAX - 1, csz)
     # brute tally of witnesses over a quadrant reproduces cnt
     lim = 40
@@ -67,12 +67,19 @@ def _starts(top: int, drop: int) -> list[int]:
 
 
 def test_size_tables_match_reference_across_blocks(reference_tables):
-    csz, dsz = reference_tables[:2]
+    csz = reference_tables[0]
     for start in _starts(BIG, drop=0):
-        tail_c, tail_d = kernels.size_tables(BIG, start=start)
-        assert tail_c.dtype == tail_d.dtype == np.int64
-        assert np.array_equal(tail_c, csz[start:]), start
-        assert np.array_equal(tail_d, dsz[start:]), start
+        tail = kernels.size_tables(BIG, start=start)
+        assert tail.dtype == np.int64
+        assert np.array_equal(tail, csz[start:]), start
+
+
+@pytest.mark.parametrize("r", [99_999, 100_000, 314_159, 999_999, 1_000_000])
+def test_closed_circle_sizes_match_reference_far_out(r):
+    """The four-row closed form against the all-rows reference, single
+    radii up to ten times the largest radius counts accept."""
+    assert np.array_equal(kernels.size_tables(r, start=r),
+                          oracle_size_tables(r, start=r)[0])
 
 
 def test_gap_tallies_match_reference_across_blocks(reference_tables):
@@ -91,6 +98,7 @@ def test_tables_grown_across_blocks_match_reference(reference_tables):
         tables.grow(r)
         witnesses = max(r, 1)  # witnesses 0..max(r - 1, 0)
         assert np.array_equal(tables.csz, csz[:r + 1])
+        assert tables.dsz.dtype == np.int64
         assert np.array_equal(tables.dsz, dsz[:r + 1])
         assert np.array_equal(tables.cpref, kernels.circle_prefix(csz[:r + 1]))
         assert np.array_equal(tables.cnt, cnt[:witnesses])
@@ -98,9 +106,10 @@ def test_tables_grown_across_blocks_match_reference(reference_tables):
 
 
 def test_table_builders_keep_a_small_working_set():
-    """The blocks bound what a build to r = 10^4 holds at once: its
-    tracemalloc peak stays under 2 MB (its two output arrays take 160 kB)."""
-    csz, _ = kernels.size_tables(10_000)
+    """What a build to r = 10^4 holds at once stays under 2 MB of
+    tracemalloc peak (each output array takes 80 kB): gap_tallies works in
+    blocks, and size_tables builds its four rows one at a time."""
+    csz = kernels.size_tables(10_000)
     for build in (lambda: kernels.size_tables(10_000),
                   lambda: kernels.gap_tallies(9_999, csz)):
         tracemalloc.start()
@@ -113,7 +122,7 @@ def test_table_builders_keep_a_small_working_set():
 
 
 def test_circle_prefix():
-    csz, _ = kernels.size_tables(8)
+    csz = kernels.size_tables(8)
     cpref = kernels.circle_prefix(csz)
     assert cpref[0] == 0
     assert np.array_equal(np.diff(cpref), csz)
@@ -177,7 +186,8 @@ def test_tables_grow_by_extension(monkeypatch):
         tables.grow(prev)
         assert len(calls) == 2 and tables.rmax == r
 
-        csz, dsz = size_tables(r)
+        csz = size_tables(r)
+        dsz = oracle_size_tables(r)[1]
         cpref = kernels.circle_prefix(csz)
         cnt, circ = gap_tallies(max(r - 1, 0), csz)
         assert np.array_equal(tables.csz, csz)
