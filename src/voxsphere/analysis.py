@@ -2,11 +2,18 @@
 disc-absentee formula.
 
 All counting goes through the closed row tallies in :mod:`voxsphere.kernels`,
-so tables stream: no voxel set is materialized, and radii in the tens of
-thousands stay cheap.  One per-process table cache, ``_tables``, serves every
-closed count of the package (the sphere and solid count functions read its
-rows).  It covers radii 0..rmax, the largest radius requested so far; a larger
-request extends it by the missing rows, never rebuilding a row it holds.
+so tables stream: no voxel set is materialized.  One per-process table cache,
+``_tables``, serves every closed count of the package (the sphere and solid
+count functions read its rows).  It has two parts, each extended by the rows
+a larger request lacks and never rebuilt:
+
+* the circle sizes csz and their prefix sums cpref, closed-form and O(1) per
+  radius.  A hollow row needs nothing else: its surface and its gap total
+  (the disc size less its circles) are O(r) sums over the row extents, so
+  ``sphere_count_row`` costs O(r) however large r is;
+* the sweep tables cnt, circ and dsz to ``rmax``, from kernels.gap_tallies,
+  O(r) per radius and so quadratic in the largest radius.  Only the solid
+  rows, the species counts and the enumerated disc count read them.
 """
 
 from __future__ import annotations
@@ -41,23 +48,32 @@ class CountRow:
 
 
 class _Tables:
-    """Per-radius tallies for radii 0..rmax, extended as rmax grows."""
+    """Per-radius tallies: circle sizes for radii 0..csz.size - 1, and the
+    sweep tables for radii 0..rmax (rmax < csz.size), each extended as
+    larger radii are asked for."""
 
     def __init__(self):
-        self.rmax = -1
+        self.rmax = -1  # the sweep's high-water mark
         self.csz = np.zeros(0, np.int64)
         self.dsz = np.zeros(0, np.int64)
         self.cpref = kernels.circle_prefix(self.csz)
         self.cnt = np.zeros(0, np.int64)   # witnesses 0..max(rmax - 1, 0)
         self.circ = np.zeros(0, np.int64)
 
+    def grow_circles(self, rmax: int) -> None:
+        """Extend csz and cpref to radius rmax, without the sweep."""
+        lo = self.csz.size
+        if rmax < lo:
+            return
+        self.csz = np.concatenate([self.csz, kernels.size_tables(rmax, start=lo)])
+        self.cpref = kernels.circle_prefix(self.csz)  # one cumsum, O(rmax)
+
     def grow(self, rmax: int) -> None:
         """Compute the rows rmax has and the cache lacks, and append them."""
         if rmax <= self.rmax:
             return
         lo = self.rmax + 1
-        self.csz = np.concatenate([self.csz, kernels.size_tables(rmax, start=lo)])
-        self.cpref = kernels.circle_prefix(self.csz)  # one cumsum, O(rmax)
+        self.grow_circles(rmax)
         cnt, circ = kernels.gap_tallies(max(rmax - 1, 0), self.csz,
                                         start=self.cnt.size)
         self.cnt = np.concatenate([self.cnt, cnt])
@@ -65,7 +81,7 @@ class _Tables:
         # D(r) is C(0..r) plus the gaps of witnesses 0..r-1
         gaps = kernels.circle_prefix(self.cnt)
         self.dsz = np.concatenate(
-            [self.dsz, self.cpref[lo + 1:] + gaps[lo:rmax + 1]])
+            [self.dsz, self.cpref[lo + 1:rmax + 2] + gaps[lo:rmax + 1]])
         self.rmax = rmax
 
 
@@ -73,13 +89,16 @@ _tables = _Tables()
 
 
 def sphere_count_row(r: int) -> CountRow:
-    """Hollow-sphere table row: (swept voxels, gap voxels, completed total)."""
+    """Hollow-sphere table row: (swept voxels, gap voxels, completed total).
+
+    Two gap voxels per gap pixel of D(r).  O(r) from the circle sizes alone:
+    no gap sweep runs.
+    """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    _tables.grow(r)
-    primitive = kernels.surface_totals(r, _tables.csz, _tables.cpref)
-    absentee = 2 * int(_tables.cnt[:max(r, 1)].sum())
-    return CountRow(r, primitive, absentee, primitive + absentee)
+    _tables.grow_circles(r)
+    primitive, gaps = kernels.surface_totals(r, _tables.csz, _tables.cpref)
+    return CountRow(r, primitive, 2 * gaps, primitive + 2 * gaps)
 
 
 def species_voxel_counts(r: int) -> tuple[int, int]:
@@ -110,10 +129,11 @@ def solid_count_row(r: int) -> CountRow:
 
 
 def sphere_table(radii) -> list[CountRow]:
-    """sphere_count_row over a radius collection, ascending-cache friendly."""
+    """sphere_count_row over a radius collection; extends only the circle
+    sizes, once, to the largest radius."""
     radii = [int(r) for r in radii]
     if radii:
-        _tables.grow(max(radii))
+        _tables.grow_circles(max(radii))
     return [sphere_count_row(r) for r in radii]
 
 

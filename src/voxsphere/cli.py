@@ -20,10 +20,12 @@ import sys
 
 from . import analysis, checks, circle, io, solid, sphere
 
-# Materializing a solid beyond this radius needs gigabytes.  Counts stream,
-# but building the tally tables costs time quadratic in the largest radius
-# requested: about 0.55 s to r = 10^4 and 45 s to r = 10^5 on a 2-vCPU
-# Xeon, so the cap is the largest radius whose build time is measured.
+# Materializing a solid beyond this radius needs gigabytes.  Counts stream.
+# A hollow row costs O(r) and no sweep: `counts --kind sphere --radii
+# 100000` takes about 0.35 s, start-up included.  The solid rows need the
+# gap sweep, whose build is quadratic in the largest radius: about 0.6 s to
+# r = 10^4 and 45-50 s to r = 10^5 on a 2-vCPU Xeon.  One cap serves both
+# kinds: the largest radius whose solid build time is measured.
 SOLID_MATERIALIZE_CAP = 1500
 COUNT_RADIUS_CAP = 100_000
 

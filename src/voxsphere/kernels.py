@@ -14,8 +14,31 @@ Table conventions:
                 csz[x] (+ csz[k] when x < k): the per-hemisphere ring-voxel
                 budget of the gap's two swept circles
 
-A disc is its circles plus its gap pixels and nothing else, so
-analysis._Tables derives dsz[r] = csz[0..r].sum() + cnt[0..r-1].sum().
+A disc is its circles plus its gap pixels and nothing else:
+
+    |D(r)| = csz[0..r].sum() + cnt[0..r-1].sum().
+
+Proof.  Give the pixel (x, y) other than the origin, with m >= n its sorted
+absolute coordinates and t = m^2 + n^2, the shell index
+2 isqrt(t + m) + [isqrt(t + m)^2 <= t - m], and the origin index 0: 2q on
+C(q), 2w + 1 in the gap of witness w (lattice.classify_many), so the circles
+and the gaps are pairwise disjoint and cover the plane.  Along a row y = j,
+both t + m and t - m are nondecreasing in |x| (x^2 + j^2 +- j below the
+diagonal, x^2 +- |x| + j^2 from it on, equal on it), and the index is
+nondecreasing in them: a larger isqrt(t + m) raises it by at least one, an
+equal one leaves only the indicator, which t - m can only switch on.  Each
+row |j| <= r holds a pixel of C(r) (row_extents), so the pixels of index
+<= 2r on it are the |x| up to the last abscissa of C(r) there, xmax_j; a row
+|j| > r holds none, since (0, j) already has index 2|j|.  That is the
+column fill of D(r) (circle.disc_pixels), and
+
+    |D(r)| = 2r + 1 + 2 * sum_{j=1..r} (2 xmax_j + 1)
+
+counts it in O(r).  analysis._Tables derives dsz from the identity; a
+hollow count row reads it the other way round, as the gap total
+cnt[0..r-1].sum() = |D(r)| - csz[0..r].sum(), with no sweep at all
+(surface_totals).  Only the solid rows, which weight each cnt[w] and circ[w]
+separately, need gap_tallies.
 
 The counts work on octant rows: pairs (r, j) of a radius and a row j >= 1
 whose pixels (x, j) with 0 <= x <= j are counted and then multiplied out by
@@ -123,14 +146,17 @@ def circle_prefix(csz: np.ndarray) -> np.ndarray:
     return cpref
 
 
-def surface_totals(r: int, csz: np.ndarray, cpref: np.ndarray) -> int:
-    """|sphere(r)| (revolved ring sums, equator deduplicated)."""
-    lo, hi, steep, _ = _row_spans(r)
+def surface_totals(r: int, csz: np.ndarray, cpref: np.ndarray) -> tuple[int, int]:
+    """(|sphere(r)|, gap pixels of D(r)): the revolved ring sums with the
+    equator deduplicated, and |D(r)| less its circles (module docstring).
+    csz and cpref must cover radii 0..r."""
+    lo, hi, steep, xmax = _row_spans(r)
     sel = hi >= lo
     hemi = int((cpref[hi[sel] + 1] - cpref[lo[sel]]).sum())
     hemi += int(csz[steep[steep >= 0]].sum())
     hemi += int(csz[r])  # row j=0 contributes the equator ring only
-    return 2 * hemi - int(csz[r])
+    disc = 2 * r + 1 + 2 * int((2 * xmax + 1).sum())
+    return 2 * hemi - int(csz[r]), disc - int(cpref[r + 1])
 
 
 def solid_totals(r: int, dsz: np.ndarray) -> int:

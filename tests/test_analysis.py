@@ -2,6 +2,7 @@ from decimal import Decimal
 
 import pytest
 
+from voxsphere import analysis
 from voxsphere.analysis import (
     HOLLOW_FINAL_ROW_DEFICIT,
     HOLLOW_FINAL_ROW_R,
@@ -121,6 +122,18 @@ def test_hollow_final_row_deficit():
     assert row.primitive == ref.primitive
     assert row.absentee - ref.absentee == HOLLOW_FINAL_ROW_DEFICIT
     assert row.total - ref.total == HOLLOW_FINAL_ROW_DEFICIT
+    # the deficit is the two gap voxels of each witness-9999 gap pixel, as
+    # the swept tallies count them (the hollow row itself reads no tally)
+    analysis._tables.grow(HOLLOW_FINAL_ROW_R)
+    assert HOLLOW_FINAL_ROW_DEFICIT == 2 * int(analysis._tables.cnt[9999])
+
+
+def test_hollow_row_at_the_counts_cap():
+    """The frozen hollow row at r = 100000, the counts radius cap: O(r)
+    from the closed circle sizes and the row extents, no sweep."""
+    row = sphere_count_row(100_000)
+    assert row == CountRow(100_000, 100997086030, 6263309800, 107260395830)
+    assert str(alpha(row)) == "0.058393"
 
 
 def test_hollow_ratio_errata_rows():
@@ -149,9 +162,10 @@ def test_solid_ratios_all_match():
 
 @pytest.mark.slow
 def test_tallies_at_scale():
-    """Frozen rows at r = 100000, the counts radius cap: exercises the
-    closed circle sizes, the gap sweep and the int64 tallies ten times
-    past the largest published radius (about 45 s on a 2-vCPU Xeon)."""
+    """Frozen rows at r = 100000, the counts radius cap, ten times past the
+    largest published radius.  The hollow row is O(r) and is also pinned
+    in tier-1; the solid row is the one check of the gap sweep and its
+    int64 tallies at this radius (about 45 s on a 2-vCPU Xeon)."""
     row = sphere_count_row(100_000)
     assert row == CountRow(100_000, 100997086030, 6263309800, 107260395830)
     assert row.absentee % 8 == 0

@@ -105,6 +105,63 @@ def test_tables_grown_across_blocks_match_reference(reference_tables):
         assert np.array_equal(tables.circ, circ[:witnesses])
 
 
+def test_hollow_gap_total_matches_sweep(reference_tables):
+    """The hollow row's gap total, |D(r)| less its circles, against twice
+    the swept witness tallies: the two derivations share no code."""
+    gaps = kernels.circle_prefix(reference_tables[2])
+    for r in range(BIG + 1):
+        assert analysis.sphere_count_row(r).absentee == 2 * gaps[max(r, 1)], r
+
+
+def test_hollow_rows_skip_the_sweep(monkeypatch):
+    """Hollow rows extend only the circle sizes: no gap_tallies call, the
+    sweep's high-water mark unchanged, and a later solid row still grows
+    the sweep from where it stood."""
+    size_tables, gap_tallies = kernels.size_tables, kernels.gap_tallies
+    calls = []
+
+    def spy_size(rmax, start=0):
+        calls.append(("size", rmax, start))
+        return size_tables(rmax, start)
+
+    def spy_gap(wmax, csz, start=0):
+        calls.append(("gap", wmax, start))
+        return gap_tallies(wmax, csz, start)
+
+    tables = analysis._Tables()
+    monkeypatch.setattr(analysis, "_tables", tables)
+    monkeypatch.setattr(kernels, "size_tables", spy_size)
+    monkeypatch.setattr(kernels, "gap_tallies", spy_gap)
+    for bad in (lambda: analysis.sphere_count_row(-1),
+                lambda: analysis.sphere_table([-3]),
+                lambda: analysis.solid_count_row(-2)):
+        with pytest.raises(ValueError):
+            bad()
+    assert calls == [] and tables.csz.size == 0 and tables.rmax == -1
+
+    tables.grow(300)
+    calls.clear()
+    rows = analysis.sphere_table([4000, 17, 5000, 300])
+    assert calls == [("size", 5000, 301)]
+    assert [row.r for row in rows] == [4000, 17, 5000, 300]
+    for r in (0, 1, 299, 301, 4999, 5000):
+        analysis.sphere_count_row(r)
+    assert len(calls) == 1 and tables.rmax == 300
+    assert tables.csz.size == tables.cpref.size - 1 == 5001
+    assert tables.cnt.size == tables.circ.size == 300
+    assert tables.dsz.size == 301
+
+    calls.clear()
+    analysis.solid_count_row(700)
+    assert calls == [("gap", 699, 300)]
+    assert tables.rmax == 700 and tables.dsz.size == 701
+    fresh = analysis._Tables()
+    fresh.grow(700)
+    for name in ("cnt", "circ", "dsz"):
+        assert np.array_equal(getattr(tables, name), getattr(fresh, name))
+    assert np.array_equal(tables.csz[:701], fresh.csz)
+
+
 def test_table_builders_keep_a_small_working_set():
     """What a build to r = 10^4 holds at once stays under 2 MB of
     tracemalloc peak (each output array takes 80 kB): gap_tallies works in
@@ -197,7 +254,7 @@ def test_tables_grow_by_extension(monkeypatch):
         assert np.array_equal(tables.circ, circ)
 
         for s in range(r + 1):
-            surface = kernels.surface_totals(s, csz, cpref)
+            surface, _ = kernels.surface_totals(s, csz, cpref)
             gaps = 2 * int(cnt[:max(s, 1)].sum())
             lines = sum(int(cnt[w]) * (2 * math.isqrt(w) + 1) for w in range(s))
             circles = 2 * int(circ[:s].sum())
