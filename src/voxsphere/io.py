@@ -10,9 +10,14 @@ Three formats, all ASCII and byte-deterministic for a given set:
   properties; pixel sets are embedded at z = 0 since PLY has no 2D form.
 
 The emitters return ``bytes``, converted from the int64 array with numpy in
-fixed-size row chunks; no Python object is made per row.  File writes go
-through a temporary file in the destination directory and an atomic rename,
-so a failed export never leaves a partial file behind.
+fixed-size row chunks; no Python object is made per row.  A first pass
+counts each field's digits, by comparing its magnitude with the powers of
+ten up to the chunk's largest, and sizes the output buffer exactly; a second
+pass writes the digits (in 32-bit arithmetic when every magnitude is below
+10^9) and keeps each field's own columns through a mask looked up by digit
+count.  File writes go through a temporary file in the destination
+directory and an atomic rename, so a failed export never leaves a partial
+file behind.
 """
 
 from __future__ import annotations
@@ -37,20 +42,26 @@ def _as_points(vox: np.ndarray) -> np.ndarray:
 
 # Rows converted per step of _ascii_rows; bounds its temporaries.
 _CHUNK_ROWS = 1 << 15
-# 10, 100, ..., 10^19: a magnitude u has searchsorted(_POW10, u, "right") + 1
-# decimal digits.
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _fields(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(magnitude, negative mask, digit count) of every int64 in block.
 
-    Magnitudes are uint64, so -INT64_MIN = 2^63 is exact.
+    Magnitudes are the uint64 view of abs(block): abs wraps INT64_MIN to
+    itself, whose bits read as uint64 are 2^63, the exact magnitude.  A
+    magnitude has one digit plus one for each power of ten 10, 100, ... at
+    or below it; only the powers up to the block's largest magnitude are
+    compared, and none beyond 10^19 > 2^63 is needed.
     """
     neg = block < 0
-    mag = block.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)
-    return mag, neg, np.searchsorted(_POW10, mag, side="right") + 1
+    mag = np.abs(block).view(np.uint64)
+    ndig = np.ones(block.shape, dtype=np.int8)
+    top = int(mag.max())
+    p = 10
+    while p <= top:
+        ndig += mag >= np.uint64(p)
+        p *= 10
+    return mag, neg, ndig
 
 
 def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
@@ -60,8 +71,8 @@ def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
     The bytes go into one preallocated uint8 buffer.  Rows are converted
     _CHUNK_ROWS at a time: each chunk lays its fields out in a
     (rows, k, 1 + digits + 1) grid -- a '-' column, the digits right-aligned,
-    then sep or LF -- and a mask keeps the sign of negative fields, each
-    field's own digits and the closing column.
+    then sep or LF -- and a mask, one table row per digit count, keeps the
+    sign of negative fields, each field's own digits and the closing column.
     """
     n, k = pts.shape
     chunks = range(0, n, _CHUNK_ROWS)
@@ -75,6 +86,8 @@ def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
     for lo in chunks:
         mag, neg, ndig = _fields(pts[lo:lo + _CHUNK_ROWS])
         w = int(ndig.max()) + 1
+        if w <= 10:  # every magnitude below 10^9: 32-bit division is faster
+            mag = mag.astype(np.uint32)
         grid = np.empty(ndig.shape + (w + 1,), dtype=np.uint8)
         grid[:, :, 0] = ord("-")
         for col in range(w - 1, 0, -1):
@@ -82,7 +95,8 @@ def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
             mag //= 10
         grid[:, :-1, w] = ord(sep)
         grid[:, -1, w] = ord("\n")
-        keep = np.arange(w + 1) >= (w - ndig)[:, :, None]
+        # row d of the table: the columns a field of d digits keeps
+        keep = np.take(np.arange(w + 1) >= w - np.arange(w)[:, None], ndig, axis=0)
         keep[:, :, 0] = neg
         text = grid[keep]
         buf[pos:pos + len(text)] = text

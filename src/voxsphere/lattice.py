@@ -149,17 +149,47 @@ def symmetric_octet(a: int, b: int) -> np.ndarray:
 
 
 def canonicalize(points: np.ndarray) -> np.ndarray:
-    """Deduplicate and lexicographically sort an (N, k) point array."""
+    """Deduplicate and lexicographically sort an (N, k) point array.
+
+    Each row is packed into one int64 mixed-radix key: column c, shifted by
+    its minimum lo_c, is a digit of radix span_c = max_c - lo_c + 1, the
+    first column most significant, so key order is row order.  One sort of
+    the keys, a drop of adjacent equal keys and a divmod decode give the
+    result; equal keys are equal rows, so the sort need not be stable.  The
+    spans are Python ints, so the fit test is exact: every key is at most
+    prod(span_c) - 1, and the keys are used only when prod(span_c) <=
+    2^63 - 1.  Wider inputs, which no int64 key can order, take one lexsort
+    over the columns instead.
+    """
     arr = np.asarray(points, dtype=INT)
     if arr.size == 0:
         return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 2)
     if arr.ndim != 2:
         raise ValueError("expected an (N, k) point array")
-    arr = arr[np.lexsort(arr.T[::-1])]
-    keep = np.empty(len(arr), dtype=bool)
+    cols = arr.T  # one strided column at a time: min(axis=0) is much slower
+    lo = [int(c.min()) for c in cols]
+    spans = [int(c.max()) - m + 1 for c, m in zip(cols, lo)]
+    if math.prod(spans) > 2**63 - 1:
+        arr = arr[np.lexsort(arr.T[::-1])]
+        keep = np.empty(len(arr), dtype=bool)
+        keep[0] = True
+        np.any(arr[1:] != arr[:-1], axis=1, out=keep[1:])
+        return arr[keep]
+    key = arr[:, 0] - lo[0]  # every partial key below stays under 2^63
+    for c in range(1, len(spans)):
+        key *= spans[c]
+        key += arr[:, c] - lo[c]
+    key.sort()
+    keep = np.empty(len(key), dtype=bool)
     keep[0] = True
-    np.any(arr[1:] != arr[:-1], axis=1, out=keep[1:])
-    return arr[keep]
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    out = np.empty((len(key), len(spans)), dtype=INT)
+    for c in range(len(spans) - 1, 0, -1):
+        key, out[:, c] = np.divmod(key, spans[c])
+        out[:, c] += lo[c]
+    out[:, 0] = key + lo[0]
+    return out
 
 
 class IntegerInterval:

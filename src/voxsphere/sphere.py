@@ -50,18 +50,28 @@ def _lift_rings(s: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return _lift(pix[runs(start[s], size)], np.repeat(j, size))
 
 
+def _upper_rings(r: int) -> np.ndarray:
+    """The rings of the upper hemisphere, one per generatrix pixel, in no
+    particular order; distinct rings are disjoint."""
+    gen = generatrix(r)
+    return _lift_rings(gen[:, 0], gen[:, 1], r)
+
+
+def _mirrored(upper: np.ndarray) -> np.ndarray:
+    """upper followed by its mirror through the equator y = 0."""
+    both = np.concatenate([upper, upper])
+    both[len(upper):, 1] *= -1
+    return both
+
+
 def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, canonicalized."""
-    gen = generatrix(r)
-    return canonicalize(_lift_rings(gen[:, 0], gen[:, 1], r))
+    return canonicalize(_upper_rings(r))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution: hemisphere plus its mirror through the equator."""
-    upper = hemisphere_voxels(r)
-    lower = upper.copy()
-    lower[:, 1] = -lower[:, 1]
-    return canonicalize(np.concatenate([upper, lower]))
+    return canonicalize(_mirrored(_upper_rings(r)))
 
 
 def sphere_surface_count(r: int) -> int:
@@ -100,27 +110,30 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
     return canonicalize(np.concatenate(parts))
 
 
-def hemisphere_absentees(r: int) -> np.ndarray:
-    """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
-    radius-growing generatrix steps; one voxel per gap pixel of the disc."""
+def _upper_gaps(r: int) -> np.ndarray:
+    """Every upper-hemisphere gap voxel, in no particular order: each gap
+    pixel of the disc, lifted to the plane of its witness."""
     if r < 0:
         raise ValueError("radius must be non-negative")
     gaps, w = circle._gap_pixels(r)
     planes = np.array([gap_plane(r, v) for v in range(r)], dtype=INT)
-    return canonicalize(_lift(gaps, planes[w]))
+    return _lift(gaps, planes[w])
+
+
+def hemisphere_absentees(r: int) -> np.ndarray:
+    """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
+    radius-growing generatrix steps; one voxel per gap pixel of the disc."""
+    return canonicalize(_upper_gaps(r))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
     """Gap voxels of both hemispheres (the mirror never meets the equator)."""
-    upper = hemisphere_absentees(r)
-    lower = upper.copy()
-    lower[:, 1] = -lower[:, 1]
-    return canonicalize(np.concatenate([upper, lower]))
+    return canonicalize(_mirrored(_upper_gaps(r)))
 
 
 def completed_sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution with every gap voxel filled in."""
-    return canonicalize(np.concatenate([sphere_voxels(r), sphere_absentees(r)]))
+    return canonicalize(_mirrored(np.concatenate([_upper_rings(r), _upper_gaps(r)])))
 
 
 def completed_sphere_count(r: int) -> int:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import ORACLE_EMITTERS, oracle_canonicalize
@@ -19,9 +19,12 @@ from voxsphere.lattice import INT, canonicalize
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 small = st.integers(-3, 3)
+# every power-of-ten edge of the digit count, on both signs
+DIGIT_EDGES = [s * v for p in range(1, 19) for v in (10**p - 1, 10**p)
+               for s in (1, -1)]
 full = (st.integers(INT64_MIN, INT64_MAX)
-        | st.sampled_from([INT64_MIN, INT64_MIN + 1, -10, -9, -1, 0, 1, 9,
-                           10, INT64_MAX - 1, INT64_MAX]))
+        | st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1,
+                           INT64_MAX] + DIGIT_EDGES))
 
 
 @st.composite
@@ -43,9 +46,43 @@ def test_canonicalize_matches_unique(pts):
     assert np.array_equal(pts, before)
 
 
+# Column spans (max - min + 1) at the packed-key guard: a product of
+# 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657 still packs, 2^63 does
+# not, and a column over the whole int64 range overflows on its own.
+GUARD_SPANS = {
+    "packed": {2: [7, (2**63 - 1) // 7], 3: [7, 7, (2**63 - 1) // 49]},
+    "fallback": {2: [2, 2**62], 3: [2, 2, 2**61]},
+    "full-column": {2: [2**64, 3], 3: [5, 2**64, 3]},
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("case", sorted(GUARD_SPANS))
+def test_canonicalize_at_the_packed_key_guard(case, k):
+    spans = GUARD_SPANS[case][k]
+    rng = np.random.default_rng([k, len(case)])
+    cols = []
+    for span in spans:
+        lo = max(INT64_MIN, -(span // 2))
+        hi = lo + span - 1
+        col = rng.integers(lo, hi, size=300, dtype=INT, endpoint=True)
+        col[:2] = lo, hi  # both ends present: the spans are exact
+        cols.append(col)
+    pts = np.stack(cols, axis=1)
+    pts = np.concatenate([pts, pts[::3], pts[:1]])  # duplicates
+    rng.shuffle(pts)
+    assert [int(c.max()) - int(c.min()) + 1 for c in pts.T] == spans
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = canonicalize(pts)
+    assert lexsort.call_count == (case != "packed")
+    assert np.array_equal(got, oracle_canonicalize(pts))
+
+
 @settings(max_examples=200, deadline=None)
 @given(point_arrays(), st.sampled_from(vio.FORMATS),
        st.sampled_from([1, 2, 7, 64]))
+# one row per chunk: every digit width, on both sides of the 32-bit path
+@example(np.array([[v, 0] for v in DIGIT_EDGES], dtype=INT), "canonical-text", 1)
 def test_emit_matches_per_row_oracle(pts, fmt, chunk):
     want = ORACLE_EMITTERS[fmt](pts).encode()
     with mock.patch.object(vio, "_CHUNK_ROWS", chunk):

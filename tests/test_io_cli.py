@@ -6,16 +6,18 @@ and require byte-identical output.
 """
 
 import hashlib
+import runpy
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsphere import circle, cli, io as vio, sphere
+from voxsphere import circle, cli, io as vio, solid, sphere
 from voxsphere.lattice import INT, canonicalize
 
 
@@ -366,6 +368,32 @@ def test_generate_bytes_frozen(tmp_path, shape, fmt, r):
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         FROZEN_SHA256[shape, fmt, r]
+
+
+# The benchmark's generate entries: (shape, format, radius, sha256, ...).
+# run_path compiles the source without writing a bytecode cache next to it.
+BENCH_GENERATE = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["GENERATE"]
+
+
+@pytest.mark.parametrize("shape, fmt, r, digest",
+                         [pytest.param(*e[:4], id=f"{e[0]}-{e[1]}-{e[2]}")
+                          for e in BENCH_GENERATE])
+def test_generate_bytes_frozen_at_benchmark_size(tmp_path, shape, fmt, r, digest):
+    """The large outputs the benchmark checks, pinned in tier-1 too: the
+    r = 200 sphere spans many emitter chunks and one large sort."""
+    out = tmp_path / "out"
+    assert cli.main(["generate", shape, "-r", str(r), "--format", fmt,
+                     "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    rows = (sphere.completed_sphere_count(r) if shape == "sphere-complete"
+            else solid.completed_solid_count(r))
+    assert rows > vio._CHUNK_ROWS
+    if fmt == "ply-ascii":
+        head, _, data = data.partition(b"end_header\n")
+        assert f"element vertex {rows}\n".encode() in head
+    assert data.count(b"\n") == rows
 
 
 def test_frozen_table_covers_every_shape_and_format():

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as O
+from voxsphere import sphere
 from voxsphere.circle import disc_absentees, iter_octant_absentees
-from voxsphere.lattice import COORD_MAX, classify_pixel
+from voxsphere.lattice import COORD_MAX, canonicalize, classify_pixel
 from voxsphere.sphere import (
     completed_sphere_count,
     completed_sphere_voxels,
@@ -71,6 +74,30 @@ def test_frozen_counts():
     for r in range(11):
         assert sphere_surface_count(r) == len(sphere_voxels(r))
         assert completed_sphere_count(r) == len(completed_sphere_voxels(r))
+
+
+@pytest.mark.parametrize("build", [hemisphere_voxels, sphere_voxels, sphere_absentees,
+                                   completed_sphere_voxels])
+@pytest.mark.parametrize("r", [0, 1, 7, 40])
+def test_sphere_builders_sort_once(build, r):
+    """Each builder concatenates its unsorted parts and canonicalizes once,
+    returning that result as it is."""
+    returned = []
+
+    def spy(points):
+        returned.append(canonicalize(points))
+        return returned[-1]
+
+    with mock.patch.object(sphere, "canonicalize", spy):
+        out = build(r)
+    assert len(returned) == 1 and out is returned[0]
+
+
+@pytest.mark.parametrize("build", [hemisphere_voxels, sphere_voxels, sphere_absentees,
+                                   completed_sphere_voxels, hemisphere_absentees])
+def test_sphere_builders_reject_negative_radius(build):
+    with pytest.raises(ValueError, match="non-negative"):
+        build(-1)
 
 
 @pytest.mark.parametrize("r", range(2, 21))
