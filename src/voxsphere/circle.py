@@ -47,12 +47,27 @@ def absentee_interval(w: int, k: int) -> IntegerInterval:
 
 
 def circle_pixels(r: int) -> np.ndarray:
-    """All pixels of the digital circle of radius r, canonicalized."""
+    """All pixels of the digital circle of radius r, in canonical order.
+
+    The circle is symmetric under x <-> y, so column x holds exactly the
+    |y| in first[|x|]..last[|x|] of the row extents.  Filling column by
+    column, the run below the axis and then the run above it (one merged
+    run when it starts on the axis), yields the rows already in canonical
+    order with no sort.
+    """
     first, last = kernels.row_extents(r)
-    n = last - first + 1
-    quad = np.stack([runs(first, n), np.repeat(np.arange(r + 1, dtype=INT), n)], axis=1)
-    images = [quad * s for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return canonicalize(np.concatenate(images))
+    ax = np.abs(np.arange(-r, r + 1))
+    f, h = first[ax], last[ax]
+    on_axis = f == 0  # -h..0, then 1..h: the axis pixel once
+    start = np.empty(2 * ax.size, dtype=INT)
+    count = np.empty(2 * ax.size, dtype=INT)
+    start[0::2], start[1::2] = -h, f + on_axis
+    count[0::2] = h - f + 1
+    count[1::2] = count[0::2] - on_axis
+    out = np.empty((int(count.sum()), 2), dtype=INT)
+    out[:, 0] = np.repeat(np.arange(-r, r + 1, dtype=INT), count[0::2] + count[1::2])
+    out[:, 1] = runs(start, count)
+    return out
 
 
 def disc_pixels(r: int) -> np.ndarray:
@@ -74,35 +89,54 @@ def disc_pixels(r: int) -> np.ndarray:
     return out
 
 
-def _plane(n: int, keep) -> tuple[np.ndarray, np.ndarray]:
-    """The pixels of the box [-n, n]^2 in canonical order whose shell index
-    passes the mask function keep, and their shell index: 2q on the circle
-    C(q), 2w + 1 in the gap of witness w.  The box is classified a slab of
-    columns at a time, so memory follows the kept pixels."""
+def _plane(n: int, *gap: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pixels of the box [-n, n]^2 with shell index s <= 2n, in
+    canonical order, and their s: 2q on the circle C(q), 2w + 1 in the gap
+    of witness w.  One (pixels, s) pair per flag in gap: True keeps the gap
+    pixels of witness w <= n - 1, False the pixels of C(0), ..., C(n).  The
+    box is classified once, a slab of columns at a time, so memory follows
+    the kept pixels."""
+    if n < 0:
+        raise ValueError("radius must be non-negative")
     axis = np.arange(-n, n + 1, dtype=INT)
     step = max(1, 2**18 // axis.size)
-    pix, shell = [], []
+    parts = [([], []) for _ in gap]
     for x0 in range(0, axis.size, step):
         box = np.stack(np.meshgrid(axis[x0:x0 + step], axis, indexing="ij"), axis=-1).reshape(-1, 2)
         q, absent = classify_many(box[:, 0], box[:, 1])
         s = 2 * q + absent
-        k = keep(s)
-        pix.append(box[k])
-        shell.append(s[k])
-    return np.concatenate(pix), np.concatenate(shell)
+        inside = s <= 2 * n
+        for (pix, shell), g in zip(parts, gap):
+            k = inside & (absent == g)
+            pix.append(box[k])
+            shell.append(s[k])
+    return [(np.concatenate(pix), np.concatenate(shell)) for pix, shell in parts]
 
 
 def _gap_pixels(r: int) -> tuple[np.ndarray, np.ndarray]:
     """The gap pixels with witness w <= r - 1 in canonical order, and their
     witnesses.  Each lies inside D(r), hence in the box [-r, r]^2."""
-    pix, shell = _plane(r, lambda s: (s % 2 == 1) & (s < 2 * r))
+    (pix, shell), = _plane(r, True)
     return pix, shell // 2
 
 
 def _rings(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pixels of C(0), ..., C(n) grouped by radius, and the group
     offsets: C(s) is pix[start[s]:start[s + 1]], in canonical order."""
-    pix, shell = _plane(n, lambda s: (s % 2 == 0) & (s <= 2 * n))
+    (pix, shell), = _plane(n, False)
+    return _grouped(pix, shell, n)
+
+
+def _rings_and_gaps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(_rings(n), _gap_pixels(n)) from one classified pass over the box."""
+    (pix, shell), (gaps, gshell) = _plane(n, False, True)
+    return _grouped(pix, shell, n), (gaps, gshell // 2)
+
+
+def _grouped(pix: np.ndarray, shell: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical pixels of C(0), ..., C(n) and their shells, grouped by
+    radius as _rings returns them; the stable sort keeps each group
+    canonical."""
     order = np.argsort(shell, kind="stable")
     return pix[order], np.searchsorted(shell[order], 2 * np.arange(n + 2))
 
@@ -138,8 +172,6 @@ def disc_absentees(r: int) -> np.ndarray:
     """All absentee pixels of the disc D(r): pixels inside the disc's extent
     lying on no C(s) with s <= r.  These are exactly the gap pixels with
     witness w <= r - 1."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
     return _gap_pixels(r)[0]
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
-from .circle import _gap_pixels, gap_band_index, iter_octant_absentees
+from .circle import _rings_and_gaps, gap_band_index, iter_octant_absentees
 from .sphere import _lift, _lift_rings, _ring_at, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
@@ -92,16 +92,14 @@ def solid_absentee_voxels(r: int) -> np.ndarray:
     completed radius-2 sphere).  Line and circle voxels are disjoint because
     their zx-projections are a gap pixel and a circle pixel respectively.
     """
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    gaps, w = _gap_pixels(r)
+    rings, (gaps, w) = _rings_and_gaps(r)
     h = exact_isqrt_many(w)
     n = 2 * h + 1
     lines = _lift(np.repeat(gaps, n, axis=0), runs(-h, n))
     # each gap pixel (s, j) with s > 0 is a cross-section pixel: ring C(s)
     # in the plane y = j
     cross = gaps[gaps[:, 0] > 0]
-    circles = _lift_rings(cross[:, 0], cross[:, 1], r)
+    circles = _lift_rings(cross[:, 0], cross[:, 1], rings)
     return canonicalize(np.concatenate([lines, circles]))
 
 

@@ -42,19 +42,20 @@ def _ring_at(s: int, j: int) -> np.ndarray:
     return _lift(circle.circle_pixels(s), j)
 
 
-def _lift_rings(s: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+def _lift_rings(s: np.ndarray, j: np.ndarray, rings) -> np.ndarray:
     """The ring C(s[i]) in the plane y = j[i] for every i, concatenated;
-    every radius must be at most n."""
-    pix, start = circle._rings(n)
+    rings is circle._rings(n) for some n >= max(s)."""
+    pix, start = rings
     size = start[s + 1] - start[s]
     return _lift(pix[runs(start[s], size)], np.repeat(j, size))
 
 
-def _upper_rings(r: int) -> np.ndarray:
+def _upper_rings(r: int, rings) -> np.ndarray:
     """The rings of the upper hemisphere, one per generatrix pixel, in no
-    particular order; distinct rings are disjoint."""
+    particular order; distinct rings are disjoint.  rings is
+    circle._rings(r)."""
     gen = generatrix(r)
-    return _lift_rings(gen[:, 0], gen[:, 1], r)
+    return _lift_rings(gen[:, 0], gen[:, 1], rings)
 
 
 def _mirrored(upper: np.ndarray) -> np.ndarray:
@@ -66,12 +67,12 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
 
 def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, canonicalized."""
-    return canonicalize(_upper_rings(r))
+    return canonicalize(_upper_rings(r, circle._rings(r)))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution: hemisphere plus its mirror through the equator."""
-    return canonicalize(_mirrored(_upper_rings(r)))
+    return canonicalize(_mirrored(_upper_rings(r, circle._rings(r))))
 
 
 def sphere_surface_count(r: int) -> int:
@@ -110,12 +111,11 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
     return canonicalize(np.concatenate(parts))
 
 
-def _upper_gaps(r: int) -> np.ndarray:
+def _upper_gaps(r: int, gap_pixels) -> np.ndarray:
     """Every upper-hemisphere gap voxel, in no particular order: each gap
-    pixel of the disc, lifted to the plane of its witness."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    gaps, w = circle._gap_pixels(r)
+    pixel of the disc, lifted to the plane of its witness.  gap_pixels is
+    circle._gap_pixels(r)."""
+    gaps, w = gap_pixels
     planes = np.array([gap_plane(r, v) for v in range(r)], dtype=INT)
     return _lift(gaps, planes[w])
 
@@ -123,17 +123,19 @@ def _upper_gaps(r: int) -> np.ndarray:
 def hemisphere_absentees(r: int) -> np.ndarray:
     """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
-    return canonicalize(_upper_gaps(r))
+    return canonicalize(_upper_gaps(r, circle._gap_pixels(r)))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
     """Gap voxels of both hemispheres (the mirror never meets the equator)."""
-    return canonicalize(_mirrored(_upper_gaps(r)))
+    return canonicalize(_mirrored(_upper_gaps(r, circle._gap_pixels(r))))
 
 
 def completed_sphere_voxels(r: int) -> np.ndarray:
-    """Sphere of revolution with every gap voxel filled in."""
-    return canonicalize(_mirrored(np.concatenate([_upper_rings(r), _upper_gaps(r)])))
+    """Sphere of revolution with every gap voxel filled in.  Its rings and
+    gap pixels come from one classified plane."""
+    rings, gaps = circle._rings_and_gaps(r)
+    return canonicalize(_mirrored(np.concatenate([_upper_rings(r, rings), _upper_gaps(r, gaps)])))
 
 
 def completed_sphere_count(r: int) -> int:

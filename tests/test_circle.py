@@ -181,3 +181,15 @@ def test_gap_band_index_bounds(value_sq, row):
 @given(st.integers(min_value=1, max_value=60))
 def test_row_tiling(r):
     assert row_tiling_check(r, 4 * r * r + 200)
+
+
+def test_circle_pixels_column_fill_matches_sorted_quadrants():
+    """The sort-free column fill equals canonicalize of the four quadrant
+    images of the row runs."""
+    for r in range(301):
+        first, last = row_extents(r)
+        n = last - first + 1
+        quad = np.stack([np.concatenate([np.arange(f, f + c) for f, c in zip(first, n)]),
+                         np.repeat(np.arange(r + 1), n)], axis=1)
+        want = canonicalize(np.concatenate([quad * s for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))]))
+        assert np.array_equal(circle_pixels(r), want)
