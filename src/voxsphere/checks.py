@@ -117,39 +117,43 @@ def check_disc(max_r: int) -> list[CheckResult]:
 
 
 def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
-    results = []
-
-    rmax = min(max_r, 32)
-    ok = True
-    for r in range(rmax + 1):
-        row = analysis.sphere_count_row(r)
-        if sphere.sphere_voxels(r).shape[0] != row.primitive:
-            ok = False
+    # One pass builds each radius's gap sets once and feeds every check
+    # whose range covers it; a check stops at its first failing radius.
+    caps = {name: min(max_r, cap) for name, cap in
+            (("materialized", 32), ("projection", 64), ("equator", 128), ("predicate", 16))}
+    ok = dict.fromkeys(caps, True)
+    for r in range(max(caps.values()) + 1):
+        todo = {name for name in caps if ok[name] and r <= caps[name]}
+        if not todo:
             break
-        if sphere.sphere_absentees(r).shape[0] != row.absentee:
-            ok = False
-            break
-        if sphere.completed_sphere_voxels(r).shape[0] != row.total:
-            ok = False
-            break
-    results.append(CheckResult(
-        "sphere", "streamed-vs-materialized", ok,
-        f"closed counts match materialized sets, r <= {rmax}"))
-
-    rmax = min(max_r, 64)
-    ok = True
-    for r in range(rmax + 1):
         av = sphere.hemisphere_absentees(r)
-        proj = canonicalize(av[:, [0, 2]])
-        if len(proj) != av.shape[0]:
-            ok = False
-            break
-        if not _same_set(proj, circle.disc_absentees(r)):
-            ok = False
-            break
+        both = sphere.sphere_absentees(r)
+        if "materialized" in todo:
+            row = analysis.sphere_count_row(r)
+            ok["materialized"] = (sphere.sphere_voxels(r).shape[0] == row.primitive
+                                  and both.shape[0] == row.absentee
+                                  and sphere.completed_sphere_voxels(r).shape[0] == row.total)
+        if "projection" in todo:
+            proj = canonicalize(av[:, [0, 2]])
+            ok["projection"] = (len(proj) == av.shape[0]
+                                and _same_set(proj, circle.disc_absentees(r)))
+        if "equator" in todo:
+            ok["equator"] = (not av.shape[0] or int(av[:, 1].min()) >= 1) \
+                and both.shape[0] == 2 * av.shape[0]
+        if "predicate" in todo:
+            n = r + 2
+            grid = np.arange(-n, n + 1)
+            ii, jj, kk = np.meshgrid(grid, grid, grid, indexing="ij")
+            vox = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
+            mask = sphere.is_sphere_absentee_many(vox, r)
+            ok["predicate"] = _same_set(vox[mask], both)
+
+    results = [CheckResult(
+        "sphere", "streamed-vs-materialized", ok["materialized"],
+        f"closed counts match materialized sets, r <= {caps['materialized']}")]
     results.append(CheckResult(
-        "sphere", "gap-projection", ok,
-        f"upper gap voxels project 1:1 onto disc gap pixels, r <= {rmax}"))
+        "sphere", "gap-projection", ok["projection"],
+        f"upper gap voxels project 1:1 onto disc gap pixels, r <= {caps['projection']}"))
 
     # Gap voxels could plausibly be assigned to either endpoint plane of the
     # generatrix step that reveals them, instead of to the plane whose run
@@ -185,34 +189,12 @@ def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
         f"for r <= {rmax}; counts and projections are unaffected",
         gating=False))
 
-    rmax = min(max_r, 128)
-    ok = True
-    for r in range(rmax + 1):
-        av = sphere.hemisphere_absentees(r)
-        if av.shape[0] and int(av[:, 1].min()) < 1:
-            ok = False
-            break
-        if sphere.sphere_absentees(r).shape[0] != 2 * av.shape[0]:
-            ok = False
-            break
     results.append(CheckResult(
-        "sphere", "no-equator-gaps", ok,
-        f"every gap voxel sits strictly off the equator, r <= {rmax}"))
-
-    rmax = min(max_r, 16)
-    ok = True
-    for r in range(rmax + 1):
-        n = r + 2
-        grid = np.arange(-n, n + 1)
-        ii, jj, kk = np.meshgrid(grid, grid, grid, indexing="ij")
-        vox = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-        mask = sphere.is_sphere_absentee_many(vox, r)
-        if not _same_set(vox[mask], sphere.sphere_absentees(r)):
-            ok = False
-            break
+        "sphere", "no-equator-gaps", ok["equator"],
+        f"every gap voxel sits strictly off the equator, r <= {caps['equator']}"))
     results.append(CheckResult(
-        "sphere", "membership-predicate", ok,
-        f"predicate sweep equals enumerated gap set, r <= {rmax}"))
+        "sphere", "membership-predicate", ok["predicate"],
+        f"predicate sweep equals enumerated gap set, r <= {caps['predicate']}"))
 
     ref = analysis.reference_counts("sphere")
     grid = [r for r in sorted(ref) if r <= (10000 if long else 1000)]

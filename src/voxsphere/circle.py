@@ -91,11 +91,12 @@ def disc_pixels(r: int) -> np.ndarray:
 
 def _plane(n: int, *gap: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     """The pixels of the box [-n, n]^2 with shell index s <= 2n, in
-    canonical order, and their s: 2q on the circle C(q), 2w + 1 in the gap
-    of witness w.  One (pixels, s) pair per flag in gap: True keeps the gap
-    pixels of witness w <= n - 1, False the pixels of C(0), ..., C(n).  The
-    box is classified once, a slab of columns at a time, so memory follows
-    the kept pixels."""
+    canonical order, each with its radius or witness q = s // 2: s is 2q on
+    the circle C(q) and 2q + 1 in the gap of witness q.  One (pixels, q)
+    pair per flag in gap: True keeps the gap pixels of witness q <= n - 1,
+    which are the absentees of D(n); False keeps the pixels of C(0), ...,
+    C(n).  The box is classified once, a slab of columns at a time, so
+    memory follows the kept pixels."""
     if n < 0:
         raise ValueError("radius must be non-negative")
     axis = np.arange(-n, n + 1, dtype=INT)
@@ -104,41 +105,12 @@ def _plane(n: int, *gap: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     for x0 in range(0, axis.size, step):
         box = np.stack(np.meshgrid(axis[x0:x0 + step], axis, indexing="ij"), axis=-1).reshape(-1, 2)
         q, absent = classify_many(box[:, 0], box[:, 1])
-        s = 2 * q + absent
-        inside = s <= 2 * n
-        for (pix, shell), g in zip(parts, gap):
+        inside = 2 * q + absent <= 2 * n
+        for (pix, radius), g in zip(parts, gap):
             k = inside & (absent == g)
             pix.append(box[k])
-            shell.append(s[k])
-    return [(np.concatenate(pix), np.concatenate(shell)) for pix, shell in parts]
-
-
-def _gap_pixels(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gap pixels with witness w <= r - 1 in canonical order, and their
-    witnesses.  Each lies inside D(r), hence in the box [-r, r]^2."""
-    (pix, shell), = _plane(r, True)
-    return pix, shell // 2
-
-
-def _rings(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pixels of C(0), ..., C(n) grouped by radius, and the group
-    offsets: C(s) is pix[start[s]:start[s + 1]], in canonical order."""
-    (pix, shell), = _plane(n, False)
-    return _grouped(pix, shell, n)
-
-
-def _rings_and_gaps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(_rings(n), _gap_pixels(n)) from one classified pass over the box."""
-    (pix, shell), (gaps, gshell) = _plane(n, False, True)
-    return _grouped(pix, shell, n), (gaps, gshell // 2)
-
-
-def _grouped(pix: np.ndarray, shell: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical pixels of C(0), ..., C(n) and their shells, grouped by
-    radius as _rings returns them; the stable sort keeps each group
-    canonical."""
-    order = np.argsort(shell, kind="stable")
-    return pix[order], np.searchsorted(shell[order], 2 * np.arange(n + 2))
+            radius.append(q[k])
+    return [(np.concatenate(pix), np.concatenate(radius)) for pix, radius in parts]
 
 
 def union_circles(radii) -> np.ndarray:
@@ -172,7 +144,7 @@ def disc_absentees(r: int) -> np.ndarray:
     """All absentee pixels of the disc D(r): pixels inside the disc's extent
     lying on no C(s) with s <= r.  These are exactly the gap pixels with
     witness w <= r - 1."""
-    return _gap_pixels(r)[0]
+    return _plane(r, True)[0][0]
 
 
 def is_disc_absentee(a: int, b: int) -> bool:

@@ -10,14 +10,13 @@ Three formats, all ASCII and byte-deterministic for a given set:
   properties; pixel sets are embedded at z = 0 since PLY has no 2D form.
 
 The emitters return ``bytes``, converted from the int64 array with numpy in
-fixed-size row chunks; no Python object is made per row.  A first pass
-counts each field's digits, by comparing its magnitude with the powers of
-ten up to the chunk's largest, and sizes the output buffer exactly; a second
-pass writes the digits (in 32-bit arithmetic when every magnitude is below
-10^9) and keeps each field's own columns through a mask looked up by digit
-count.  File writes go through a temporary file in the destination
-directory and an atomic rename, so a failed export never leaves a partial
-file behind.
+fixed-size row chunks; no Python object is made per row.  One pass per
+chunk counts each field's digits, by comparing its magnitude with the powers
+of ten up to the chunk's largest, writes the digits (in 32-bit arithmetic
+when every magnitude is below 10^9) and keeps each field's own columns
+through a mask looked up by digit count; the chunks' bytes are joined.
+File writes go through a temporary file in the destination directory and an
+atomic rename, so a failed export never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -68,22 +67,14 @@ def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
     """head followed by one ASCII line per row of pts: decimal fields joined
     by sep, each line ending in LF.
 
-    The bytes go into one preallocated uint8 buffer.  Rows are converted
-    _CHUNK_ROWS at a time: each chunk lays its fields out in a
-    (rows, k, 1 + digits + 1) grid -- a '-' column, the digits right-aligned,
-    then sep or LF -- and a mask, one table row per digit count, keeps the
-    sign of negative fields, each field's own digits and the closing column.
+    Rows are converted _CHUNK_ROWS at a time and the chunks' bytes joined:
+    each chunk lays its fields out in a (rows, k, 1 + digits + 1) grid -- a
+    '-' column, the digits right-aligned, then sep or LF -- and a mask, one
+    table row per digit count, keeps the sign of negative fields, each
+    field's own digits and the closing column.
     """
-    n, k = pts.shape
-    chunks = range(0, n, _CHUNK_ROWS)
-    size = len(head) + n * k  # one separator or LF per field
-    for lo in chunks:
-        _, neg, ndig = _fields(pts[lo:lo + _CHUNK_ROWS])
-        size += int(ndig.sum()) + int(neg.sum())
-    buf = np.empty(size, dtype=np.uint8)
-    buf[:len(head)] = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
-    pos = len(head)
-    for lo in chunks:
+    parts = [head.encode("ascii")]
+    for lo in range(0, len(pts), _CHUNK_ROWS):
         mag, neg, ndig = _fields(pts[lo:lo + _CHUNK_ROWS])
         w = int(ndig.max()) + 1
         if w <= 10:  # every magnitude below 10^9: 32-bit division is faster
@@ -98,10 +89,8 @@ def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
         # row d of the table: the columns a field of d digits keeps
         keep = np.take(np.arange(w + 1) >= w - np.arange(w)[:, None], ndig, axis=0)
         keep[:, :, 0] = neg
-        text = grid[keep]
-        buf[pos:pos + len(text)] = text
-        pos += len(text)
-    return buf.tobytes()
+        parts.append(grid[keep].tobytes())
+    return b"".join(parts)
 
 
 def emit_canonical_text(vox: np.ndarray) -> bytes:

@@ -36,8 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
-from .circle import _rings_and_gaps, gap_band_index, iter_octant_absentees
-from .sphere import _lift, _lift_rings, _ring_at, completed_sphere_voxels
+from .circle import _plane, gap_band_index, iter_octant_absentees
+from .sphere import _lift, _lift_runs, _ring_at, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
 from . import kernels
@@ -92,15 +92,21 @@ def solid_absentee_voxels(r: int) -> np.ndarray:
     completed radius-2 sphere).  Line and circle voxels are disjoint because
     their zx-projections are a gap pixel and a circle pixel respectively.
     """
-    rings, (gaps, w) = _rings_and_gaps(r)
+    return canonicalize(_species(r))
+
+
+def _species(r: int) -> np.ndarray:
+    """The line and circle voxels of solid_absentee_voxels(r), unsorted."""
+    (pix, s), (gaps, w) = _plane(r, False, True)
     h = exact_isqrt_many(w)
-    n = 2 * h + 1
-    lines = _lift(np.repeat(gaps, n, axis=0), runs(-h, n))
-    # each gap pixel (s, j) with s > 0 is a cross-section pixel: ring C(s)
-    # in the plane y = j
-    cross = gaps[gaps[:, 0] > 0]
-    circles = _lift_rings(cross[:, 0], cross[:, 1], rings)
-    return canonicalize(np.concatenate([lines, circles]))
+    lines = _lift_runs(gaps, -h, 2 * h + 1)
+    # each gap pixel (s, j) of the cross-section carries the ring C(s) in
+    # the plane y = j: a ring pixel of radius s takes the planes of the
+    # block of canonical gap pixels with abscissa s (none for s = 0)
+    lo, hi = (np.searchsorted(gaps[:, 0], s, side=side) for side in ("left", "right"))
+    circles = _lift_runs(pix, lo, hi - lo)
+    circles[:, 1] = gaps[circles[:, 1], 1]
+    return np.concatenate([lines, circles])
 
 
 def solid_absentee_count(r: int) -> int:

@@ -5,6 +5,19 @@ about the y axis: every arc pixel (x, j) contributes the digital circle of
 radius x in the plane y = j.  Distinct radii give disjoint rings, so the
 voxel count of the hemisphere is the sum of ring sizes over arc pixels.
 
+The sweep is built column by column, from this identity: a voxel (x, y, z)
+lies on the sphere of radius r exactly when (x, z) lies on some C(q) and
+(q, |y|) lies on C(r).  Proof: the upper hemisphere is the union of C(q') in
+the plane y = j over the arc pixels (q', j), the pixels of C(r) with q',
+j >= 0, and the lower one is its mirror; a pixel lies on at most one
+circle, so (x, z) on C(q') forces q' = q.  C(r) is symmetric under x <-> y,
+so (q, j) lies on it exactly when (j, q) does, that is when first[q] <= j
+<= last[q] for the row extents of C(r) (kernels.row_extents): the planes of
+the ring C(q) are the column q of C(r), one run, nonempty for every q <= r
+because every row of C(r) holds a pixel.  So one lift builds the
+hemisphere: each pixel of C(0), ..., C(r) with radius q goes to the planes
+first[q]..last[q].
+
 Gap pixels of the plane (strictly between consecutive digital circles) lift
 to gap voxels of the sphere.  A gap pixel (i, k) with witness w belongs to
 the sphere of radius r at exactly one plane: the j whose run interval
@@ -42,20 +55,19 @@ def _ring_at(s: int, j: int) -> np.ndarray:
     return _lift(circle.circle_pixels(s), j)
 
 
-def _lift_rings(s: np.ndarray, j: np.ndarray, rings) -> np.ndarray:
-    """The ring C(s[i]) in the plane y = j[i] for every i, concatenated;
-    rings is circle._rings(n) for some n >= max(s)."""
-    pix, start = rings
-    size = start[s + 1] - start[s]
-    return _lift(pix[runs(start[s], size)], np.repeat(j, size))
+def _lift_runs(pix: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each pixel pix[i] placed in the count[i] planes from start[i] up."""
+    return _lift(np.repeat(pix, count, axis=0), runs(start, count))
 
 
 def _upper_rings(r: int, rings) -> np.ndarray:
-    """The rings of the upper hemisphere, one per generatrix pixel, in no
-    particular order; distinct rings are disjoint.  rings is
-    circle._rings(r)."""
-    gen = generatrix(r)
-    return _lift_rings(gen[:, 0], gen[:, 1], rings)
+    """The rings of the upper hemisphere, in no particular order; distinct
+    rings are disjoint.  rings is circle._plane(r, False)[0], the pixels of
+    C(0), ..., C(r) with their radii q; each goes to the planes of column q
+    of C(r) (module docstring)."""
+    pix, q = rings
+    first, last = kernels.row_extents(r)
+    return _lift_runs(pix, first[q], last[q] - first[q] + 1)
 
 
 def _mirrored(upper: np.ndarray) -> np.ndarray:
@@ -66,13 +78,15 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
 
 
 def hemisphere_voxels(r: int) -> np.ndarray:
-    """Upper hemisphere: one ring per generatrix pixel, canonicalized."""
-    return canonicalize(_upper_rings(r, circle._rings(r)))
+    """Upper hemisphere: one ring per generatrix pixel, canonicalized.  The
+    generatrix pixels of abscissa q are the column q of C(r), so every pixel
+    of C(q) is lifted to that column's run of planes."""
+    return canonicalize(_upper_rings(r, circle._plane(r, False)[0]))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution: hemisphere plus its mirror through the equator."""
-    return canonicalize(_mirrored(_upper_rings(r, circle._rings(r))))
+    return canonicalize(_mirrored(_upper_rings(r, circle._plane(r, False)[0])))
 
 
 def sphere_surface_count(r: int) -> int:
@@ -85,13 +99,8 @@ def gap_plane(r: int, w: int) -> int:
     of witness w: j(j+1) >= r^2 - w^2 and j(j-1) < r^2 - w^2."""
     if not 0 <= w < r:
         raise ValueError("witness must satisfy 0 <= w < r")
-    q = r * r - w * w
-    j = isqrt(q)
-    while j * (j + 1) < q:
-        j += 1
-    while j >= 1 and (j - 1) * j >= q:
-        j -= 1
-    return j
+    # j(j - 1) < q <= j(j + 1) reads (2j - 1)^2 < 4q < (2j + 1)^2
+    return (isqrt(4 * (r * r - w * w)) + 1) // 2
 
 
 def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
@@ -114,7 +123,7 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
 def _upper_gaps(r: int, gap_pixels) -> np.ndarray:
     """Every upper-hemisphere gap voxel, in no particular order: each gap
     pixel of the disc, lifted to the plane of its witness.  gap_pixels is
-    circle._gap_pixels(r)."""
+    circle._plane(r, True)[0], the gap pixels with their witnesses."""
     gaps, w = gap_pixels
     planes = np.array([gap_plane(r, v) for v in range(r)], dtype=INT)
     return _lift(gaps, planes[w])
@@ -123,19 +132,23 @@ def _upper_gaps(r: int, gap_pixels) -> np.ndarray:
 def hemisphere_absentees(r: int) -> np.ndarray:
     """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
-    return canonicalize(_upper_gaps(r, circle._gap_pixels(r)))
+    return canonicalize(_upper_gaps(r, circle._plane(r, True)[0]))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
     """Gap voxels of both hemispheres (the mirror never meets the equator)."""
-    return canonicalize(_mirrored(_upper_gaps(r, circle._gap_pixels(r))))
+    return canonicalize(_mirrored(_upper_gaps(r, circle._plane(r, True)[0])))
 
 
 def completed_sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution with every gap voxel filled in.  Its rings and
-    gap pixels come from one classified plane."""
-    rings, gaps = circle._rings_and_gaps(r)
-    return canonicalize(_mirrored(np.concatenate([_upper_rings(r, rings), _upper_gaps(r, gaps)])))
+    gap pixels come from one classified plane, dropped before the sort."""
+    return canonicalize(_mirrored(_completed_upper(r)))
+
+
+def _completed_upper(r: int) -> np.ndarray:
+    rings, gaps = circle._plane(r, False, True)
+    return np.concatenate([_upper_rings(r, rings), _upper_gaps(r, gaps)])
 
 
 def completed_sphere_count(r: int) -> int:

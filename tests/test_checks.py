@@ -19,6 +19,9 @@ from voxsphere.lattice import on_digital_circle
 # sha256 of the stdout of `verify --suite all --max-r 32`, recorded before
 # the checks compared sets as canonical arrays.
 VERIFY_32_SHA256 = "670f30710bbf192cafd355bcaafb6b78a3d645874b983af51d6f90e8d5a48a2a"
+# The same at --max-r 128, the largest cap of any check, recorded before the
+# sphere rings were lifted along the columns of C(r).
+VERIFY_128_SHA256 = "54d8e19c4c7a3f70b41491a77840ce4df377ba554823058797968da0cd1e126e"
 
 
 def run_verify(capsys, suite, max_r):
@@ -31,6 +34,22 @@ def test_verify_output_frozen(capsys):
     assert rc == 0
     assert out.splitlines()[-1] == "17/17 checks passed"
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_32_SHA256
+
+
+def test_verify_output_frozen_at_the_largest_cap(capsys):
+    rc, out = run_verify(capsys, "all", 128)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_128_SHA256
+
+
+@pytest.mark.parametrize("name", ["hemisphere_absentees", "sphere_absentees",
+                                  "sphere_voxels", "completed_sphere_voxels"])
+def test_sphere_checks_build_each_set_once_per_radius(monkeypatch, name):
+    build = getattr(sphere, name)
+    radii = []
+    monkeypatch.setattr(sphere, name, lambda r: radii.append(r) or build(r))
+    assert all(c.passed for c in checks.check_sphere(20))
+    assert radii == list(range(21))
 
 
 def _drop_first(points, r):

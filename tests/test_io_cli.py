@@ -370,6 +370,25 @@ def test_generate_bytes_frozen(tmp_path, shape, fmt, r):
         FROZEN_SHA256[shape, fmt, r]
 
 
+# canonical-text sha256 of the plane-lifted shapes at larger radii, recorded
+# before the sphere rings were lifted along the columns of C(r).  The box
+# [-r, r]^2 of r = 300 and 400 takes more than one classified slab of
+# circle._plane (from r = 256 on); the r = 120 solid has 779140 absentee
+# voxels.
+FROZEN_LARGE_SHA256 = {
+    ("sphere", 300): "e0d2d037f21b31101688c9debf12b0d290f6dbebbcb3ec974e69f2b9a3623970",
+    ("sphere-absentees", 400): "d47b69520220a5a84e8136febe07a2ad4965e0247b2c9c19237a9a76a218e7ee",
+    ("solid-absentees", 120): "8e8b8400af78bb4f4ce5ac089732225c3e5ff153162f64944e01db418046bbce",
+}
+
+
+@pytest.mark.parametrize("shape, r", sorted(FROZEN_LARGE_SHA256))
+def test_generate_bytes_frozen_at_larger_radii(tmp_path, shape, r):
+    out = tmp_path / "out"
+    assert cli.main(["generate", shape, "-r", str(r), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_LARGE_SHA256[shape, r]
+
+
 # The benchmark's generate entries: (shape, format, radius, sha256, ...).
 # run_path compiles the source without writing a bytecode cache next to it.
 BENCH_GENERATE = runpy.run_path(

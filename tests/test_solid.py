@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from voxsphere.solid import (
     species_voxel_counts,
     union_completed_spheres,
 )
+from voxsphere.sphere import completed_sphere_voxels
 
 AVS_SIZES = [0, 0, 20, 20, 20, 132, 132, 276, 276, 360, 752]
 UNION_SIZES = [1, 7, 61, 151, 329, 607, 961, 1499, 2153, 3031, 4113]
@@ -232,3 +235,18 @@ def test_negative_radius_rejected():
                species_voxel_counts):
         with pytest.raises(ValueError):
             fn(-1)
+
+
+@pytest.mark.parametrize("build, r", [(solid_absentee_voxels, 100),
+                                      (completed_sphere_voxels, 200)])
+def test_plane_lifted_builders_keep_a_small_working_set(build, r):
+    """The tracemalloc peak of a plane-lifted builder stays under 3.2 times
+    its output bytes (measured: 3.04 for both; 4.10 and 3.25 while the
+    classified plane was still held through the sort)."""
+    tracemalloc.start()
+    try:
+        out = build(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * out.nbytes

@@ -164,6 +164,17 @@ def test_gap_plane_values_and_uniqueness():
         gap_plane(5, -1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12), st.data())
+def test_gap_plane_closed_form_at_large_radii(r, data):
+    """The closed form picks the plane whose run interval holds w^2:
+    j(j - 1) < r^2 - w^2 <= j(j + 1), in exact integers."""
+    w = data.draw(st.integers(0, r - 1))
+    q = r * r - w * w
+    j = gap_plane(r, w)
+    assert j >= 1 and j * (j - 1) < q <= j * (j + 1)
+
+
 def test_predicate_worked_examples():
     assert is_sphere_absentee((2, 9, 4), 10)
     assert not is_sphere_absentee((3, 9, 4), 10)
