@@ -20,12 +20,16 @@ import sys
 
 from . import analysis, checks, circle, io, solid, sphere
 
-# Materializing a solid beyond this radius needs gigabytes.  Counts stream.
-# A hollow row costs O(r) and no sweep: `counts --kind sphere --radii
-# 100000` takes about 0.35 s, start-up included.  The solid rows need the
-# gap sweep, whose build is quadratic in the largest radius: about 0.6 s to
-# r = 10^4 and 45-50 s to r = 10^5 on a 2-vCPU Xeon.  One cap serves both
-# kinds: the largest radius whose solid build time is measured.
+# generate writes solid-absentees and solid-complete in x-blocks, so their
+# memory no longer grows with the cube of the radius; for them this cap
+# bounds time and output size (the completed solid at r = 1500 is 1.4e10
+# rows, over 1.5e11 bytes of text).  `solid`, the union, is still built as
+# one array.  Counts stream.  A hollow row costs O(r) and no sweep:
+# `counts --kind sphere --radii 100000` takes about 0.35 s, start-up
+# included.  The solid rows need the gap sweep, whose build is quadratic in
+# the largest radius: about 0.6 s to r = 10^4 and 45-50 s to r = 10^5 on a
+# 2-vCPU Xeon.  One cap serves both kinds: the largest radius whose solid
+# build time is measured.
 SOLID_MATERIALIZE_CAP = 1500
 COUNT_RADIUS_CAP = 100_000
 
@@ -41,6 +45,15 @@ GENERATORS = {
     "solid-complete": solid.completed_solid_voxels,
 }
 SOLID_SHAPES = {"solid", "solid-absentees", "solid-complete"}
+# Shapes that generate writes x-block by x-block: (canonical x-blocks,
+# exact row count for the PLY header).  The others go out as one array.
+STREAMED = {
+    "sphere": (sphere.sphere_blocks, sphere.sphere_surface_count),
+    "sphere-absentees": (sphere.sphere_absentee_blocks, sphere.sphere_absentee_count),
+    "sphere-complete": (sphere.completed_sphere_blocks, sphere.completed_sphere_count),
+    "solid-absentees": (solid.solid_absentee_blocks, solid.solid_absentee_count),
+    "solid-complete": (solid.completed_solid_blocks, solid.completed_solid_count),
+}
 
 
 def _parse_radii(spec: str) -> list[int]:
@@ -79,8 +92,14 @@ def cmd_generate(args) -> int:
               "is capped; use the counts subcommand for large radii",
               file=sys.stderr)
         return 3
-    vox = GENERATORS[args.shape](args.radius)
-    io.write_text(io.emit(vox, args.format), args.out)
+    if args.shape in STREAMED:
+        blocks_of, count_of = STREAMED[args.shape]
+        blocks = blocks_of(args.radius)
+        count = count_of(args.radius) if args.format == "ply-ascii" else None
+    else:
+        vox = GENERATORS[args.shape](args.radius)
+        blocks, count = [vox], len(vox)
+    io.write_text(io.stream(blocks, args.format, count), args.out)
     return 0
 
 

@@ -9,21 +9,34 @@ Three formats, all ASCII and byte-deterministic for a given set:
 * ``ply-ascii`` -- standard ASCII PLY point cloud with integer x/y/z vertex
   properties; pixel sets are embedded at z = 0 since PLY has no 2D form.
 
-The emitters return ``bytes``, converted from the int64 array with numpy in
-fixed-size row chunks; no Python object is made per row.  One pass per
-chunk counts each field's digits, by comparing its magnitude with the powers
-of ten up to the chunk's largest, writes the digits (in 32-bit arithmetic
-when every magnitude is below 10^9) and keeps each field's own columns
-through a mask looked up by digit count; the chunks' bytes are joined.
-File writes go through a temporary file in the destination directory and an
-atomic rename, so a failed export never leaves a partial file behind.
+``stream`` yields an export as bytes chunks, from an iterable of point
+blocks that it reads one block at a time; ``emit`` joins the chunks of one
+array.  Rows are converted from int64 with numpy in fixed-size chunks; no
+Python object is made per row.  One pass per chunk counts each field's
+digits, by comparing its magnitude with the powers of ten up to the chunk's
+largest, writes the digits (in 32-bit arithmetic when every magnitude is
+below 10^9) and keeps each field's own columns through a mask looked up by
+digit count.
+
+Canonical blocks whose first coordinates fill disjoint, ascending ranges
+concatenate to a canonical array: every row of a block has a smaller first
+coordinate than any row of a later block, so rows of distinct blocks are in
+order and never equal.  So the sphere and solid builders yield such x-blocks,
+each sorted on its own, and ``generate``
+writes each block's chunks as it comes, holding neither the whole array
+nor its text.  File writes, of a string, of bytes or of such a chunk
+stream, go through a temporary file in the destination directory and an
+atomic rename, so a failed export never leaves a partial file behind and
+never touches an existing one.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import tempfile
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,7 +52,8 @@ def _as_points(vox: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Rows converted per step of _ascii_rows; bounds its temporaries.
+# Rows converted per step of _ascii_rows, which bounds its temporaries; also
+# the row target of the builders' x-blocks (sphere._x_blocks).
 _CHUNK_ROWS = 1 << 15
 
 
@@ -63,17 +77,15 @@ def _fields(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mag, neg, ndig
 
 
-def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
-    """head followed by one ASCII line per row of pts: decimal fields joined
-    by sep, each line ending in LF.
+def _ascii_rows(pts: np.ndarray, sep: str) -> Iterator[bytes]:
+    """One ASCII line per row of pts, decimal fields joined by sep and each
+    line ending in LF, as one bytes chunk per _CHUNK_ROWS rows.
 
-    Rows are converted _CHUNK_ROWS at a time and the chunks' bytes joined:
-    each chunk lays its fields out in a (rows, k, 1 + digits + 1) grid -- a
+    Each chunk lays its fields out in a (rows, k, 1 + digits + 1) grid -- a
     '-' column, the digits right-aligned, then sep or LF -- and a mask, one
     table row per digit count, keeps the sign of negative fields, each
     field's own digits and the closing column.
     """
-    parts = [head.encode("ascii")]
     for lo in range(0, len(pts), _CHUNK_ROWS):
         mag, neg, ndig = _fields(pts[lo:lo + _CHUNK_ROWS])
         w = int(ndig.max()) + 1
@@ -89,50 +101,68 @@ def _ascii_rows(head: str, pts: np.ndarray, sep: str) -> bytes:
         # row d of the table: the columns a field of d digits keeps
         keep = np.take(np.arange(w + 1) >= w - np.arange(w)[:, None], ndig, axis=0)
         keep[:, :, 0] = neg
-        parts.append(grid[keep].tobytes())
-    return b"".join(parts)
+        yield grid[keep].tobytes()
 
 
-def emit_canonical_text(vox: np.ndarray) -> bytes:
-    return _ascii_rows("", _as_points(vox), " ")
+def _head(fmt: str, width: int, count: int | None) -> str:
+    if fmt == "csv":
+        return "i,j\n" if width == 2 else "i,j,k\n"
+    if fmt != "ply-ascii":
+        return ""
+    return ("ply\n"
+            "format ascii 1.0\n"
+            f"element vertex {count}\n"
+            "property int x\n"
+            "property int y\n"
+            "property int z\n"
+            "end_header\n")
 
 
-def emit_csv(vox: np.ndarray) -> bytes:
-    pts = _as_points(vox)
-    header = "i,j" if pts.shape[1] == 2 else "i,j,k"
-    return _ascii_rows(header + "\n", pts, ",")
+def stream(blocks: Iterable[np.ndarray], fmt: str, count: int | None = None) -> Iterator[bytes]:
+    """The export of the concatenation of blocks, as byte chunks: the header,
+    then every block's rows, _CHUNK_ROWS at a time.
+
+    blocks holds at least one array, all of one width, and is read one block
+    at a time, so the chunks can go to a file while later blocks are still
+    unbuilt.  The PLY header comes first and declares the vertex count, so
+    ply-ascii needs count, the total number of rows, up front.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    if fmt == "ply-ascii" and count is None:
+        raise ValueError("ply-ascii needs the vertex count")
+    return _stream(iter(blocks), fmt, count)
 
 
-def emit_ply(vox: np.ndarray) -> bytes:
-    pts = _as_points(vox)
-    if pts.shape[1] == 2:
-        z = np.zeros((pts.shape[0], 1), dtype=INT)
-        pts = np.hstack([pts, z])
-    head = (
-        "ply\n"
-        "format ascii 1.0\n"
-        f"element vertex {pts.shape[0]}\n"
-        "property int x\n"
-        "property int y\n"
-        "property int z\n"
-        "end_header\n"
-    )
-    return _ascii_rows(head, pts, " ")
-
-
-_EMITTERS = {
-    "canonical-text": emit_canonical_text,
-    "csv": emit_csv,
-    "ply-ascii": emit_ply,
-}
+def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int | None) -> Iterator[bytes]:
+    first = _as_points(next(blocks))
+    width = first.shape[1]
+    yield _head(fmt, width, count).encode("ascii")
+    sep = "," if fmt == "csv" else " "
+    for pts in itertools.chain([first], blocks):
+        pts = _as_points(pts)
+        if pts.shape[1] != width:
+            raise ValueError("blocks of different widths")
+        if fmt == "ply-ascii" and width == 2:  # pixels at z = 0
+            pts = np.hstack([pts, np.zeros((len(pts), 1), dtype=INT)])
+        yield from _ascii_rows(pts, sep)
 
 
 def emit(vox: np.ndarray, fmt: str) -> bytes:
-    try:
-        emitter = _EMITTERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
-    return emitter(vox)
+    pts = _as_points(vox)
+    return b"".join(stream([pts], fmt, len(pts)))
+
+
+def emit_canonical_text(vox: np.ndarray) -> bytes:
+    return emit(vox, "canonical-text")
+
+
+def emit_csv(vox: np.ndarray) -> bytes:
+    return emit(vox, "csv")
+
+
+def emit_ply(vox: np.ndarray) -> bytes:
+    return emit(vox, "ply-ascii")
 
 
 def parse_canonical_text(text: str | bytes) -> np.ndarray:
@@ -156,23 +186,29 @@ def parse_canonical_text(text: str | bytes) -> np.ndarray:
     return canonicalize(np.array(rows, dtype=INT))
 
 
-def write_text(text: str | bytes, out: str | None) -> None:
+def write_text(text: str | bytes | Iterable[bytes], out: str | None) -> None:
     """Write to a path atomically (temp file + rename), or to stdout when
-    out is None.  bytes are written as they are, in binary mode."""
-    if out is None:
-        if isinstance(text, str):
-            sys.stdout.write(text)
-        else:
-            sys.stdout.flush()  # keep earlier str output ahead of these bytes
-            sys.stdout.buffer.write(text)
-        return
+    out is None.  text is a str, bytes, or an iterable of bytes chunks
+    (stream), each written as it comes; bytes go out as they are, in binary
+    mode.  Should the iterable raise, the temp file is removed and out, if
+    it exists, keeps its old content."""
     if isinstance(text, str):
+        if out is None:
+            sys.stdout.write(text)
+            return
         text = text.encode()
+    chunks = [text] if isinstance(text, bytes) else text
+    if out is None:
+        sys.stdout.flush()  # keep earlier str output ahead of these bytes
+        for chunk in chunks:
+            sys.stdout.buffer.write(chunk)
+        return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".voxsphere-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, out)
     except BaseException:
         try:

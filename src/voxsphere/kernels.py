@@ -84,9 +84,13 @@ def _row_spans(r: int):
     """
     j = np.arange(1, r + 1, dtype=INT)
     c = r * r - j * j  # >= 0, so c + j - 1 >= 0 and row j = r has x = 0
-    hi = np.minimum(j, exact_isqrt_many(c + j - 1))
-    lo = _ceil_sqrt(c - j)
-    x = (exact_isqrt_many(4 * c) + 1) // 2
+    a = np.maximum(c - j, 0)
+    top, lo, x = exact_isqrt_many(np.concatenate([c + j - 1, a, c])).reshape(3, r)
+    hi = np.minimum(j, top)
+    lo += lo * lo < a  # ceil_sqrt(c - j)
+    # the x with x(x - 1) < c <= x(x + 1), from q = isqrt(c); 4c would
+    # overflow once r passes about 1.52e9
+    x += x * (x + 1) < c
     steep = np.where(x > j, x, -1)
     xmax = np.where(steep >= 0, steep, hi)
     return lo, hi, steep, xmax
@@ -109,13 +113,13 @@ def using_numba() -> bool:
     return False
 
 
-def _blocks(count: np.ndarray):
-    """(a, b) index ranges of consecutive radii holding about _BLOCK pairs
-    each, where radius i has count[i] pairs: a block closes before the first
-    radius whose pairs start past the next multiple of _BLOCK."""
+def _blocks(count: np.ndarray, size: int = _BLOCK):
+    """(a, b) index ranges of consecutive items holding about size units
+    each, where item i has count[i] units: a block closes before the first
+    item whose units start past the next multiple of size."""
     if not count.size:
         return ()
-    block = (np.cumsum(count) - count) // _BLOCK
+    block = (np.cumsum(count) - count) // size
     cut = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
     return zip([0] + cut, cut + [count.size])
 

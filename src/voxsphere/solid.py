@@ -29,6 +29,13 @@ Two distinct notions of "the solid ball of radius r" are exposed:
 The completed solid also holds voxels that no completed hollow sphere and
 neither absentee species covers: 16 at r = 7, e.g. (2, 5, 4), and 872 at
 r = 20.  The tabulated solid absentee counts leave them out.
+
+The species and the completed solid are built as x-blocks, like the hollow
+spheres: a line voxel keeps the abscissa of its gap pixel, a circle voxel
+that of its ring pixel, and a completed-solid voxel that of its (x, j)
+column, so each block of abscissas is built (and the species sorted) on its
+own, and the blocks, disjoint and ascending in x, concatenate to the
+canonical set.  The union of the completed spheres is still one array.
 """
 
 from __future__ import annotations
@@ -37,10 +44,10 @@ import numpy as np
 
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
 from .circle import _plane, gap_band_index, iter_octant_absentees
-from .sphere import _lift, _lift_runs, _ring_at, completed_sphere_voxels
+from .sphere import _joined, _lift, _lift_runs, _ring_at, _x_blocks, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
-from . import kernels
+from . import io, kernels
 
 
 def absentee_line_voxels(a: int, b: int, w: int) -> np.ndarray:
@@ -92,21 +99,24 @@ def solid_absentee_voxels(r: int) -> np.ndarray:
     completed radius-2 sphere).  Line and circle voxels are disjoint because
     their zx-projections are a gap pixel and a circle pixel respectively.
     """
-    return canonicalize(_species(r))
+    return _joined(solid_absentee_blocks(r))
 
 
-def _species(r: int) -> np.ndarray:
-    """The line and circle voxels of solid_absentee_voxels(r), unsorted."""
+def solid_absentee_blocks(r: int):
+    """solid_absentee_voxels(r) as canonical x-blocks, in ascending
+    abscissa.  A line voxel keeps the abscissa of its gap pixel and a circle
+    voxel that of its ring pixel, so each block lifts the pixels of one run
+    of abscissas and is sorted on its own."""
     (pix, s), (gaps, w) = _plane(r, False, True)
     h = exact_isqrt_many(w)
-    lines = _lift_runs(gaps, -h, 2 * h + 1)
     # each gap pixel (s, j) of the cross-section carries the ring C(s) in
     # the plane y = j: a ring pixel of radius s takes the planes of the
     # block of canonical gap pixels with abscissa s (none for s = 0)
     lo, hi = (np.searchsorted(gaps[:, 0], s, side=side) for side in ("left", "right"))
-    circles = _lift_runs(pix, lo, hi - lo)
-    circles[:, 1] = gaps[circles[:, 1], 1]
-    return np.concatenate([lines, circles])
+    for p, g in _x_blocks(r, (pix, hi - lo), (gaps, 2 * h + 1)):
+        circles = _lift_runs(pix[p], lo[p], hi[p] - lo[p])
+        circles[:, 1] = gaps[circles[:, 1], 1]
+        yield canonicalize(np.concatenate([_lift_runs(gaps[g], -h[g], 2 * h[g] + 1), circles]))
 
 
 def solid_absentee_count(r: int) -> int:
@@ -147,18 +157,28 @@ def completed_solid_voxels(r: int) -> np.ndarray:
     when |z| is at most the row maximum of C(s) at |x| (the disc_pixels
     column fill), so the rows come out in canonical order.
     """
+    return _joined(completed_solid_blocks(r))
+
+
+def completed_solid_blocks(r: int):
+    """completed_solid_voxels(r) as canonical x-blocks, in ascending
+    abscissa, cut from the (x, j) matrix of z half-heights."""
     s = kernels.row_extents(r)[1]  # disc radius of the planes y = +-j
     last = np.full((r + 1, r + 1), -1, dtype=INT)  # last[t, x]: row maxima of C(t)
     for t in set(s.tolist()):
         last[t, :t + 1] = kernels.row_extents(t)[1]
     ax = np.abs(np.arange(-r, r + 1))
-    h = last[s[ax]][:, ax].T.ravel()  # z half-height over (x, j), x-major
+    h = last[s[ax]][:, ax].T  # z half-height over (x, j)
     n = np.maximum(2 * h + 1, 0)
-    out = np.empty((int(n.sum()), 3), dtype=INT)
-    out[:, 0] = np.repeat(np.arange(-r, r + 1, dtype=INT), n.reshape(ax.size, -1).sum(axis=1))
-    out[:, 1] = np.repeat(np.tile(np.arange(-r, r + 1, dtype=INT), ax.size), n)
-    out[:, 2] = runs(-h, n)
-    return out
+    per_x = n.sum(axis=1)
+    axis = np.arange(-r, r + 1, dtype=INT)
+    for a, b in kernels._blocks(per_x, io._CHUNK_ROWS):
+        hb, nb = h[a:b].ravel(), n[a:b].ravel()
+        out = np.empty((int(per_x[a:b].sum()), 3), dtype=INT)
+        out[:, 0] = np.repeat(axis[a:b], per_x[a:b])
+        out[:, 1] = np.repeat(np.tile(axis, b - a), nb)
+        out[:, 2] = runs(-hb, nb)
+        yield out
 
 
 def completed_solid_count(r: int) -> int:

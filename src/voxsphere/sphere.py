@@ -24,13 +24,22 @@ the sphere of radius r at exactly one plane: the j whose run interval
 [r^2 - j^2 - j, r^2 - j^2 + j) contains w^2.  Those intervals tile the
 squared radii, making the plane unique, always >= 1 (so the equator never
 carries gap voxels), and mirror-symmetric between hemispheres.
+
+Every lift keeps the abscissa of its pixel, so the voxels of abscissas
+x0..x1 are the lift of the plane's pixels in those columns, one slice of
+the canonical pixel arrays.  Each builder cuts them into x-blocks of about
+io._CHUNK_ROWS voxels, lifts, mirrors and canonicalizes each block on its
+own, and yields the blocks in ascending abscissa; as their abscissas are
+disjoint and ascending, their concatenation is canonical (io module
+docstring), and each sort covers one block.  The array builders are that
+concatenation: ``generate`` writes the blocks as they come.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import analysis, circle, kernels
+from . import analysis, circle, io, kernels
 from .lattice import (COORD_MAX, INT, absentee_witness, canonicalize, classify_many, isqrt,
                       runs, symmetric_octet)
 
@@ -60,14 +69,21 @@ def _lift_runs(pix: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndar
     return _lift(np.repeat(pix, count, axis=0), runs(start, count))
 
 
-def _upper_rings(r: int, rings) -> np.ndarray:
-    """The rings of the upper hemisphere, in no particular order; distinct
-    rings are disjoint.  rings is circle._plane(r, False)[0], the pixels of
-    C(0), ..., C(r) with their radii q; each goes to the planes of column q
-    of C(r) (module docstring)."""
-    pix, q = rings
+def _ring_runs(r: int, pix: np.ndarray, q: np.ndarray):
+    """(pixels, first plane, plane count) of the upper-hemisphere rings:
+    pix and q are circle._plane(r, False)[0], the pixels of C(0), ..., C(r)
+    with their radii q, and each goes to the planes of column q of C(r)
+    (module docstring).  Distinct rings are disjoint."""
     first, last = kernels.row_extents(r)
-    return _lift_runs(pix, first[q], last[q] - first[q] + 1)
+    return pix, first[q], last[q] - first[q] + 1
+
+
+def _gap_runs(r: int, pix: np.ndarray, w: np.ndarray):
+    """(pixels, plane, 1) of the upper-hemisphere gap voxels: pix and w are
+    circle._plane(r, True)[0], the gap pixels of the disc with their
+    witnesses, and each goes to the one plane of its witness."""
+    planes = np.array([gap_plane(r, v) for v in range(r)], dtype=INT)
+    return pix, planes[w], np.ones(len(w), dtype=INT)
 
 
 def _mirrored(upper: np.ndarray) -> np.ndarray:
@@ -77,16 +93,52 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
     return both
 
 
+def _x_blocks(r: int, *parts):
+    """Cut the canonical pixel arrays of parts at the same abscissas into
+    x-blocks of about io._CHUNK_ROWS voxels each: one list per block, of one
+    slice per part.  A part is (pix, rows): pix holds canonical pixels of
+    [-r, r]^2, and pix[i] lifts to rows[i] voxels.  There is always at
+    least one block, even when every part is empty."""
+    xs = np.arange(-r, r + 2, dtype=INT)
+    cuts = [np.searchsorted(pix[:, 0], xs) for pix, _ in parts]
+    before = sum(np.concatenate([[0], np.cumsum(rows)])[cut]
+                 for (_, rows), cut in zip(parts, cuts))
+    for a, b in kernels._blocks(np.diff(before), io._CHUNK_ROWS):
+        yield [slice(cut[a], cut[b]) for cut in cuts]
+
+
+def _joined(blocks) -> np.ndarray:
+    """The concatenation of x-blocks; a single block as it is."""
+    blocks = list(blocks)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _sphere_blocks(r: int, *parts):
+    """Canonical x-blocks of the mirrored lift of parts, (pixels, first
+    plane, plane count) triples of the upper hemisphere.  A voxel keeps the
+    abscissa of its pixel, so each block is the lift of the pixels in one
+    run of abscissas, mirrored and canonicalized on its own."""
+    for cut in _x_blocks(r, *((pix, 2 * count) for pix, _, count in parts)):
+        upper = np.concatenate([_lift_runs(pix[s], start[s], count[s])
+                                for (pix, start, count), s in zip(parts, cut)])
+        yield canonicalize(_mirrored(upper))
+
+
 def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, canonicalized.  The
     generatrix pixels of abscissa q are the column q of C(r), so every pixel
     of C(q) is lifted to that column's run of planes."""
-    return canonicalize(_upper_rings(r, circle._plane(r, False)[0]))
+    return canonicalize(_lift_runs(*_ring_runs(r, *circle._plane(r, False)[0])))
+
+
+def sphere_blocks(r: int):
+    """sphere_voxels(r) as canonical x-blocks, in ascending abscissa."""
+    yield from _sphere_blocks(r, _ring_runs(r, *circle._plane(r, False)[0]))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution: hemisphere plus its mirror through the equator."""
-    return canonicalize(_mirrored(_upper_rings(r, circle._plane(r, False)[0])))
+    return _joined(sphere_blocks(r))
 
 
 def sphere_surface_count(r: int) -> int:
@@ -120,35 +172,38 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
     return canonicalize(np.concatenate(parts))
 
 
-def _upper_gaps(r: int, gap_pixels) -> np.ndarray:
-    """Every upper-hemisphere gap voxel, in no particular order: each gap
-    pixel of the disc, lifted to the plane of its witness.  gap_pixels is
-    circle._plane(r, True)[0], the gap pixels with their witnesses."""
-    gaps, w = gap_pixels
-    planes = np.array([gap_plane(r, v) for v in range(r)], dtype=INT)
-    return _lift(gaps, planes[w])
-
-
 def hemisphere_absentees(r: int) -> np.ndarray:
     """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
-    return canonicalize(_upper_gaps(r, circle._plane(r, True)[0]))
+    return canonicalize(_lift_runs(*_gap_runs(r, *circle._plane(r, True)[0])))
+
+
+def sphere_absentee_blocks(r: int):
+    """sphere_absentees(r) as canonical x-blocks, in ascending abscissa."""
+    yield from _sphere_blocks(r, _gap_runs(r, *circle._plane(r, True)[0]))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
     """Gap voxels of both hemispheres (the mirror never meets the equator)."""
-    return canonicalize(_mirrored(_upper_gaps(r, circle._plane(r, True)[0])))
+    return _joined(sphere_absentee_blocks(r))
+
+
+def sphere_absentee_count(r: int) -> int:
+    """|sphere_absentees(r)| without materializing the set."""
+    return analysis.sphere_count_row(r).absentee
+
+
+def completed_sphere_blocks(r: int):
+    """completed_sphere_voxels(r) as canonical x-blocks, in ascending
+    abscissa.  Its rings and gap pixels come from one classified plane."""
+    rings, gaps = circle._plane(r, False, True)
+    rings, gaps = _ring_runs(r, *rings), _gap_runs(r, *gaps)  # drops q and w
+    yield from _sphere_blocks(r, rings, gaps)
 
 
 def completed_sphere_voxels(r: int) -> np.ndarray:
-    """Sphere of revolution with every gap voxel filled in.  Its rings and
-    gap pixels come from one classified plane, dropped before the sort."""
-    return canonicalize(_mirrored(_completed_upper(r)))
-
-
-def _completed_upper(r: int) -> np.ndarray:
-    rings, gaps = circle._plane(r, False, True)
-    return np.concatenate([_upper_rings(r, rings), _upper_gaps(r, gaps)])
+    """Sphere of revolution with every gap voxel filled in."""
+    return _joined(completed_sphere_blocks(r))
 
 
 def completed_sphere_count(r: int) -> int:

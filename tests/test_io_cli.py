@@ -6,6 +6,7 @@ and require byte-identical output.
 """
 
 import hashlib
+import os
 import runpy
 import subprocess
 import sys
@@ -214,6 +215,102 @@ def test_generate_solid_cap(capsys):
     # hollow shapes are streamed from closed tallies, not capped
     rc, out, _ = run_cli(capsys, "generate", "circle", "-r", "1501")
     assert rc == 0 and out
+
+
+# ---------------------------------------------------------------- streaming
+
+STREAMED_SHAPES = ["solid-absentees", "solid-complete", "sphere", "sphere-absentees",
+                   "sphere-complete"]
+
+
+def test_streamed_shapes():
+    assert sorted(cli.STREAMED) == STREAMED_SHAPES
+
+
+@pytest.mark.parametrize("shape", STREAMED_SHAPES)
+@pytest.mark.parametrize("fmt", vio.FORMATS)
+@pytest.mark.parametrize("r", [0, 1, 2, 7, 13, 40])
+def test_stream_matches_array_bytes(monkeypatch, shape, fmt, r):
+    """With a row target of 1/64 of the set (16 rows at least) the x-blocks
+    split: the blocks are canonical, x-disjoint and ascending, their
+    concatenation is the array the builder returns at the default target,
+    and the streamed export is that array's export."""
+    whole = cli.GENERATORS[shape](r)
+    blocks_of, count_of = cli.STREAMED[shape]
+    target = max(16, len(whole) // 64)
+    monkeypatch.setattr(vio, "_CHUNK_ROWS", target)
+    blocks = list(blocks_of(r))
+    assert len(blocks) > 1 or len(whole) <= 2 * target
+    for block in blocks:
+        assert np.array_equal(block, canonicalize(block))
+    xs = [(b[0, 0], b[-1, 0]) for b in blocks if len(b)]
+    assert all(hi < lo for (_, hi), (lo, _) in zip(xs, xs[1:]))
+    assert np.array_equal(np.concatenate(blocks), whole)
+    data = b"".join(vio.stream(blocks, fmt, count_of(r)))
+    assert data == vio.emit(whole, fmt)
+    if fmt == "ply-ascii":
+        head, _, body = data.partition(b"end_header\n")
+        rows = body.count(b"\n")
+        assert f"element vertex {rows}\n".encode() in head
+
+
+def test_stream_of_one_array_is_emit():
+    pts = circle.circle_pixels(5)
+    for fmt in vio.FORMATS:
+        assert b"".join(vio.stream([pts], fmt, len(pts))) == vio.emit(pts, fmt)
+    with pytest.raises(ValueError, match="vertex count"):
+        vio.stream([pts], "ply-ascii")
+    with pytest.raises(ValueError, match="unknown format"):
+        vio.stream([pts], "json")
+    with pytest.raises(ValueError, match="widths"):
+        b"".join(vio.stream([pts, sphere.sphere_voxels(1)], "csv"))
+
+
+def _failing_chunks():
+    yield b"0 0\n"
+    raise RuntimeError("builder failed")
+
+
+def test_write_text_failure_mid_stream_keeps_destination(tmp_path):
+    target = tmp_path / "pts.txt"
+    target.write_bytes(b"old content\n")
+    with pytest.raises(RuntimeError, match="builder failed"):
+        vio.write_text(_failing_chunks(), str(target))
+    assert target.read_bytes() == b"old content\n"
+    assert not list(tmp_path.glob(".voxsphere-*.tmp"))
+    with pytest.raises(RuntimeError, match="builder failed"):
+        vio.write_text(_failing_chunks(), str(tmp_path / "new.txt"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.txt"]
+
+
+def test_write_text_stream_to_stdout_keeps_order():
+    """A real, block-buffered stdout: str written before a chunk stream
+    stays ahead of it, and str written after stays behind."""
+    code = ("from voxsphere import io\n"
+            "io.write_text('head\\n', None)\n"
+            "io.write_text(iter([b'1 2\\n', b'3 4\\n']), None)\n"
+            "io.write_text('tail\\n', None)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"head\n1 2\n3 4\ntail\n"
+
+
+def test_streamed_generate_keeps_a_small_working_set(tmp_path):
+    """generate solid-complete -r 100 streams 4.24M rows (97 MiB as one
+    int64 array) block by block: its tracemalloc peak was measured at
+    6.3 MB (188 MB while the whole array and its text were built first),
+    and must stay under 16 MB."""
+    out = tmp_path / "solid.txt"
+    tracemalloc.start()
+    try:
+        assert cli.main(["generate", "solid-complete", "-r", "100",
+                         "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 40_000_000
+    assert peak < 16_000_000
 
 
 # ------------------------------------------------------------ frozen bytes

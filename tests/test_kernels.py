@@ -178,6 +178,41 @@ def test_table_builders_keep_a_small_working_set():
         assert peak < 2_000_000
 
 
+def _row_extent_reference(r, j):
+    """(first, last) abscissa of C(r) on row j >= 0, in Python integers:
+    the shallow run x <= j holds the x with c - j <= x^2 <= c + j - 1
+    (c = r^2 - j^2), the steep pixel is the x > j with (2x - 1)^2 < 4c <
+    (2x + 1)^2."""
+    if j == 0:
+        return r, r
+    c = r * r - j * j
+    lo = math.isqrt(c - j - 1) + 1 if c - j > 0 else 0
+    hi = min(j, math.isqrt(c + j - 1))
+    x = (math.isqrt(4 * c) + 1) // 2
+    steep = x if x > j else None
+    return (lo if hi >= lo else steep), (hi if steep is None else steep)
+
+
+def test_row_extents_match_per_row_reference():
+    for r in range(301):
+        first, last = kernels.row_extents(r)
+        assert first.size == last.size == r + 1
+        got = list(zip(first.tolist(), last.tolist()))
+        assert got == [_row_extent_reference(r, j) for j in range(r + 1)], r
+
+
+@pytest.mark.parametrize("r", [10**5, 10**6 - 1, 10**6])
+def test_row_extents_match_per_row_reference_at_large_radii(r):
+    """The edge rows, the rows around the diagonal and 3000 random rows."""
+    first, last = kernels.row_extents(r)
+    assert first.size == last.size == r + 1
+    d = math.isqrt(r * r // 2)
+    rng = np.random.default_rng(r)
+    for j in sorted({*range(5), *range(r - 5, r + 1), *range(d - 5, d + 6),
+                     *rng.integers(0, r + 1, 3000).tolist()}):
+        assert (int(first[j]), int(last[j])) == _row_extent_reference(r, j), j
+
+
 def test_circle_prefix():
     csz = kernels.size_tables(8)
     cpref = kernels.circle_prefix(csz)
