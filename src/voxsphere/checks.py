@@ -21,6 +21,22 @@ exact because the oracle is constant on each class:
   (max(|i|,|k|), |j|, min(|i|,|k|)) of the absentee voxels, weighted by the
   class size: both predicates read (i, k) only through classify_pixel,
   which is sign/swap invariant, and j only through |j|.
+
+One run of the suites (``run``) shares one memo, a Memo created by the call
+and dropped when it returns: every disc gap set, solid species set and
+count-table row is built once per radius, and the witness enumeration of
+plane-placement once per witness, whichever suites and checks read them.  A
+suite called on its own gets a fresh memo.  A check names each builder by
+its module attribute at the time of the call (circle.disc_absentees, not a
+reference captured at import), and nothing is kept between runs, so a
+builder replaced between runs is the one the next run checks.  The memo's
+arrays are read-only.
+
+cover-identity grows the union of the circles by one ring per radius:
+u_r = canonicalize(u_(r-1) concatenated with C(r)) is C(0) | ... | C(r)
+exactly, because canonicalize of a concatenation is the union of its parts
+and union is associative.  Circles of distinct radii are disjoint, so the
+union keeps every row: it has |C(0)| + ... + |C(r)| pixels.
 """
 
 from __future__ import annotations
@@ -48,6 +64,21 @@ class CheckResult:
         return f"[{mark}] {self.suite}:{self.name} {self.detail}"
 
 
+class Memo(dict):
+    """The builds of one verify run, keyed by (builder, radius)."""
+
+    def __call__(self, build, r: int):
+        """build(r), computed on the first request of the run; an array
+        result is stored read-only."""
+        key = (build, r)
+        if key not in self:
+            out = build(r)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            self[key] = out
+        return self[key]
+
+
 def _same_set(a, b) -> bool:
     """Set equality of two point arrays: their canonical forms agree
     elementwise."""
@@ -60,19 +91,27 @@ def _sign_swap_images(pts: np.ndarray) -> np.ndarray:
     return np.concatenate([both * s for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
 
 
-def check_disc(max_r: int) -> list[CheckResult]:
+def _octant_images(w: int) -> int:
+    """Number of gap pixels of witness w: the sign/swap images of its octant
+    enumeration."""
+    return sum(len(symmetric_octet(a, b)) for a, b in circle.iter_octant_absentees(w))
+
+
+def check_disc(max_r: int, memo: Memo | None = None) -> list[CheckResult]:
+    memo = Memo() if memo is None else memo
     results = []
 
     rmax = min(max_r, 64)
     ok = True
+    u = np.zeros((0, 2), dtype=INT)
     for r in range(rmax + 1):
-        d = circle.disc_pixels(r)
-        u = circle.union_circles(range(r + 1))
-        a = circle.disc_absentees(r)
+        # C(0) | ... | C(r), one new ring per radius (module docstring)
+        u = canonicalize(np.concatenate([u, circle.circle_pixels(r)]))
+        a = memo(circle.disc_absentees, r)
         ua = canonicalize(np.concatenate([u, a]))
         # no point is lost to deduplication exactly when u and a are disjoint
-        if (len(canonicalize(u)) + len(canonicalize(a)) != len(ua)
-                or not _same_set(ua, d)):
+        if (len(u) + len(canonicalize(a)) != len(ua)
+                or not _same_set(ua, circle.disc_pixels(r))):
             ok = False
             break
     results.append(CheckResult(
@@ -97,7 +136,7 @@ def check_disc(max_r: int) -> list[CheckResult]:
     rmax = min(max_r, 128)
     ok = True
     for r in range(0, rmax + 1, max(1, rmax // 16)):
-        if analysis.enumerated_disc_absentee_count(r) != len(circle.disc_absentees(r)):
+        if analysis.enumerated_disc_absentee_count(r) != len(memo(circle.disc_absentees, r)):
             ok = False
             break
     results.append(CheckResult(
@@ -116,7 +155,9 @@ def check_disc(max_r: int) -> list[CheckResult]:
     return results
 
 
-def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
+def check_sphere(max_r: int, long: bool = False,
+                 memo: Memo | None = None) -> list[CheckResult]:
+    memo = Memo() if memo is None else memo
     # One pass builds each radius's gap sets once and feeds every check
     # whose range covers it; a check stops at its first failing radius.
     caps = {name: min(max_r, cap) for name, cap in
@@ -129,14 +170,14 @@ def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
         av = sphere.hemisphere_absentees(r)
         both = sphere.sphere_absentees(r)
         if "materialized" in todo:
-            row = analysis.sphere_count_row(r)
+            row = memo(analysis.sphere_count_row, r)
             ok["materialized"] = (sphere.sphere_voxels(r).shape[0] == row.primitive
                                   and both.shape[0] == row.absentee
                                   and sphere.completed_sphere_voxels(r).shape[0] == row.total)
         if "projection" in todo:
             proj = canonicalize(av[:, [0, 2]])
             ok["projection"] = (len(proj) == av.shape[0]
-                                and _same_set(proj, circle.disc_absentees(r)))
+                                and _same_set(proj, memo(circle.disc_absentees, r)))
         if "equator" in todo:
             ok["equator"] = (not av.shape[0] or int(av[:, 1].min()) >= 1) \
                 and both.shape[0] == 2 * av.shape[0]
@@ -171,8 +212,7 @@ def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
                 continue
             w = int(x0)
             j = sphere.gap_plane(r, w)
-            n = sum(len(symmetric_octet(a, b))
-                    for a, b in circle.iter_octant_absentees(w))
+            n = memo(_octant_images, w)
             if not n:
                 continue
             for name, alt in (("leading", int(j1)), ("trailing", int(j0))):
@@ -201,7 +241,7 @@ def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
     bad = []
     note = ""
     for r in grid:
-        row = analysis.sphere_count_row(r)
+        row = memo(analysis.sphere_count_row, r)
         if row != ref[r]:
             if r == analysis.HOLLOW_FINAL_ROW_R and (
                     row.absentee - ref[r].absentee
@@ -221,7 +261,7 @@ def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
     bad = []
     skipped = []
     for r in grid:
-        a = analysis.alpha(analysis.sphere_count_row(r))
+        a = analysis.alpha(memo(analysis.sphere_count_row, r))
         mismatch = str(a) != ref_ratio[r]
         if mismatch and r in analysis.HOLLOW_RATIO_ERRATA:
             skipped.append(r)
@@ -237,48 +277,55 @@ def check_sphere(max_r: int, long: bool = False) -> list[CheckResult]:
     return results
 
 
-def check_solid(max_r: int, long: bool = False) -> list[CheckResult]:
-    results = []
+def _species_partition(av: np.ndarray, r: int) -> bool:
+    """Whether the species predicates split av, the absentee voxels of the
+    radius-r solid, into the tabulated line and circle counts."""
+    # one predicate call per class, weighted by its size (module docstring);
+    # each class (m, j, n) is one int64 key whose radixes are the class
+    # columns' own maxima plus one, so distinct classes have distinct keys
+    ik = np.abs(av[:, [0, 2]])
+    cols = (ik.max(axis=1), np.abs(av[:, 1]), ik.min(axis=1))
+    span_j, span_n = (int(c.max(initial=0)) + 1 for c in cols[1:])
+    key, size = np.unique((cols[0] * span_j + cols[1]) * span_n + cols[2], return_counts=True)
+    rest, n = np.divmod(key, span_n)
+    m, j = np.divmod(rest, span_j)
+    nline = ncirc = 0
+    for v, c in zip(zip(m.tolist(), j.tolist(), n.tolist()), size.tolist()):
+        nline += c * solid.is_absentee_line_voxel(v)
+        ncirc += c * solid.is_absentee_circle_voxel(v)
+    lines, circles = solid.species_voxel_counts(r)
+    return nline == lines and ncirc == circles and nline + ncirc == av.shape[0]
 
-    rmax = min(max_r, 24)
-    ok = True
-    for r in range(rmax + 1):
-        av = solid.solid_absentee_voxels(r)
-        if av.shape[0] != solid.solid_absentee_count(r):
-            ok = False
-            break
-        if solid.completed_solid_voxels(r).shape[0] != solid.completed_solid_count(r):
-            ok = False
-            break
-    results.append(CheckResult(
-        "solid", "streamed-vs-materialized", ok,
-        f"closed counts match materialized sets, r <= {rmax}"))
 
-    rmax = min(max_r, 16)
-    ok = True
-    for r in range(rmax + 1):
-        av = solid.solid_absentee_voxels(r)
-        # one predicate call per class, weighted by its size (module docstring)
-        ik = np.abs(av[:, [0, 2]])
-        cls, size = np.unique(
-            np.stack([ik.max(axis=1), np.abs(av[:, 1]), ik.min(axis=1)], axis=1),
-            axis=0, return_counts=True)
-        nline = ncirc = 0
-        for v, c in zip(cls.tolist(), size.tolist()):
-            nline += c * solid.is_absentee_line_voxel(v)
-            ncirc += c * solid.is_absentee_circle_voxel(v)
-        lines, circles = solid.species_voxel_counts(r)
-        if nline != lines or ncirc != circles or nline + ncirc != av.shape[0]:
-            ok = False
+def check_solid(max_r: int, long: bool = False,
+                memo: Memo | None = None) -> list[CheckResult]:
+    memo = Memo() if memo is None else memo
+    # one pass builds each radius's species set once, as in check_sphere
+    caps = {name: min(max_r, cap) for name, cap in (("materialized", 24), ("species", 16))}
+    ok = dict.fromkeys(caps, True)
+    for r in range(max(caps.values()) + 1):
+        todo = {name for name in caps if ok[name] and r <= caps[name]}
+        if not todo:
             break
+        av = memo(solid.solid_absentee_voxels, r)
+        if "materialized" in todo:
+            row = memo(analysis.solid_count_row, r)
+            ok["materialized"] = (av.shape[0] == row.absentee
+                                  and solid.completed_solid_voxels(r).shape[0] == row.total)
+        if "species" in todo:
+            ok["species"] = _species_partition(av, r)
+
+    results = [CheckResult(
+        "solid", "streamed-vs-materialized", ok["materialized"],
+        f"closed counts match materialized sets, r <= {caps['materialized']}")]
     results.append(CheckResult(
-        "solid", "species-partition", ok,
-        f"every absentee voxel is exactly one species, r <= {rmax}"))
+        "solid", "species-partition", ok["species"],
+        f"every absentee voxel is exactly one species, r <= {caps['species']}"))
 
     rmax = min(max_r, 64)
     ok = True
     for r in range(rmax + 1):
-        n_ad = len(circle.disc_absentees(r))
+        n_ad = len(memo(circle.disc_absentees, r))
         if solid.absentee_line_count(r) != n_ad:
             ok = False
             break
@@ -291,7 +338,7 @@ def check_solid(max_r: int, long: bool = False) -> list[CheckResult]:
 
     ref = analysis.reference_counts("solid")
     grid = [r for r in sorted(ref) if r <= (800 if long else 300)]
-    bad = [r for r in grid if analysis.solid_count_row(r) != ref[r]]
+    bad = [r for r in grid if memo(analysis.solid_count_row, r) != ref[r]]
     results.append(CheckResult(
         "solid", "published-table", not bad,
         f"{len(grid)} published rows reproduced"
@@ -301,7 +348,7 @@ def check_solid(max_r: int, long: bool = False) -> list[CheckResult]:
     grid = [r for r in sorted(ref_ratio) if r <= (800 if long else 300)]
     bad = []
     for r in grid:
-        a = analysis.alpha(analysis.solid_count_row(r), places=5)
+        a = analysis.alpha(memo(analysis.solid_count_row, r), places=5)
         if str(a) != ref_ratio[r]:
             bad.append(r)
     results.append(CheckResult(
@@ -310,7 +357,7 @@ def check_solid(max_r: int, long: bool = False) -> list[CheckResult]:
         if not bad else f"mismatch at r={bad[:4]}"))
 
     r_hole = min(max_r, 8)
-    holes = solid.coverage_holes(r_hole)
+    holes = solid.coverage_holes(r_hole, memo(solid.solid_absentee_voxels, r_hole))
     results.append(CheckResult(
         "solid", "coverage-holes", True,
         f"{holes.shape[0]} sealed voxels outside both species at r={r_hole} "
@@ -321,7 +368,7 @@ def check_solid(max_r: int, long: bool = False) -> list[CheckResult]:
 
 
 SUITES = {
-    "disc": lambda max_r, long: check_disc(max_r),
+    "disc": lambda max_r, long, memo: check_disc(max_r, memo),
     "sphere": check_sphere,
     "solid": check_solid,
 }
@@ -329,7 +376,8 @@ SUITES = {
 
 def run(suite: str, max_r: int, long: bool = False) -> list[CheckResult]:
     names = ["disc", "sphere", "solid"] if suite == "all" else [suite]
+    memo = Memo()  # shared by the suites of this run only (module docstring)
     out = []
     for name in names:
-        out.extend(SUITES[name](max_r, long))
+        out.extend(SUITES[name](max_r, long, memo))
     return out

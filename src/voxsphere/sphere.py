@@ -56,7 +56,9 @@ def generatrix(r: int) -> np.ndarray:
 def _lift(pix: np.ndarray, j) -> np.ndarray:
     """Pixels (x, z) placed in the plane y = j as voxels (x, j, z); j is one
     plane or one plane per pixel."""
-    return np.insert(pix, 1, j, axis=1)
+    out = np.empty((len(pix), 3), dtype=pix.dtype)
+    out[:, 0], out[:, 1], out[:, 2] = pix[:, 0], j, pix[:, 1]
+    return out
 
 
 def _ring_at(s: int, j: int) -> np.ndarray:

@@ -6,6 +6,7 @@ reductions the checks rely on are tested against the scalar predicates.
 """
 
 import hashlib
+from collections import Counter
 from decimal import Decimal
 
 import numpy as np
@@ -50,6 +51,55 @@ def test_sphere_checks_build_each_set_once_per_radius(monkeypatch, name):
     monkeypatch.setattr(sphere, name, lambda r: radii.append(r) or build(r))
     assert all(c.passed for c in checks.check_sphere(20))
     assert radii == list(range(21))
+
+
+def test_run_builds_each_set_once(monkeypatch):
+    """One run of all three suites shares its builds: each disc gap set and
+    solid species set once per radius, at most two rings per radius (one
+    for cover-identity, one for circle-definition), and one octant
+    enumeration per witness for plane-placement."""
+    calls = {}
+    for module, name in [(circle, "disc_absentees"), (circle, "circle_pixels"),
+                         (circle, "iter_octant_absentees"), (solid, "solid_absentee_voxels")]:
+        build = getattr(module, name)
+        seen = calls[name] = Counter()
+        monkeypatch.setattr(module, name,
+                            lambda r, build=build, seen=seen: seen.update([r]) or build(r))
+    assert all(c.passed for c in checks.run("all", 20))
+    assert calls["disc_absentees"] == Counter(range(21))
+    assert calls["solid_absentee_voxels"] == Counter(range(21))
+    assert set(calls["circle_pixels"]) == set(range(21))
+    assert max(calls["circle_pixels"].values()) <= 2
+    assert calls["iter_octant_absentees"] == Counter(range(20))
+
+
+def test_memo_holds_read_only_builds():
+    memo = checks.Memo()
+    a = memo(circle.disc_absentees, 5)
+    assert memo(circle.disc_absentees, 5) is a
+    assert not a.flags.writeable
+
+
+# (module, builder, mutation, suite, check): a builder broken after a clean
+# run in the same process must fail the next run, so no build is kept
+# between runs.
+BROKEN_AFTER_A_CLEAN_RUN = [
+    (circle, "disc_absentees", lambda p, r: p[1:], "disc", "cover-identity"),
+    (analysis, "sphere_count_row",
+     lambda row, r: analysis.CountRow(r, row.primitive + 1, row.absentee, row.total + 1),
+     "sphere", "published-table"),
+]
+
+
+@pytest.mark.parametrize("module, name, mutate, suite, check", BROKEN_AFTER_A_CLEAN_RUN)
+def test_no_memo_outlives_a_run(capsys, monkeypatch, module, name, mutate, suite, check):
+    rc, _ = run_verify(capsys, suite, 8)
+    assert rc == 0
+    build = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda r: mutate(build(r), r))
+    rc, out = run_verify(capsys, suite, 8)
+    assert rc == 1
+    assert any(line.startswith(f"[FAIL] {suite}:{check} ") for line in out.splitlines())
 
 
 def _drop_first(points, r):
