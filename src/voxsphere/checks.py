@@ -24,8 +24,10 @@ exact because the oracle is constant on each class:
 
 One run of the suites (``run``) shares one memo, a Memo created by the call
 and dropped when it returns: every disc gap set, solid species set and
-count-table row is built once per radius, and the witness enumeration of
-plane-placement once per witness, whichever suites and checks read them.  A
+count-table row the checks read through it is built once per radius, and
+the witness enumeration of plane-placement once per witness, whichever
+suites and checks read them.  A check of a public function calls that
+function itself (solid.solid_absentee_count, solid.coverage_holes).  A
 suite called on its own gets a fresh memo.  A check names each builder by
 its module attribute at the time of the call (circle.disc_absentees, not a
 reference captured at import), and nothing is kept between runs, so a
@@ -280,17 +282,13 @@ def check_sphere(max_r: int, long: bool = False,
 def _species_partition(av: np.ndarray, r: int) -> bool:
     """Whether the species predicates split av, the absentee voxels of the
     radius-r solid, into the tabulated line and circle counts."""
-    # one predicate call per class, weighted by its size (module docstring);
-    # each class (m, j, n) is one int64 key whose radixes are the class
-    # columns' own maxima plus one, so distinct classes have distinct keys
+    # one predicate call per class, weighted by its size (module docstring)
     ik = np.abs(av[:, [0, 2]])
-    cols = (ik.max(axis=1), np.abs(av[:, 1]), ik.min(axis=1))
-    span_j, span_n = (int(c.max(initial=0)) + 1 for c in cols[1:])
-    key, size = np.unique((cols[0] * span_j + cols[1]) * span_n + cols[2], return_counts=True)
-    rest, n = np.divmod(key, span_n)
-    m, j = np.divmod(rest, span_j)
+    cls, size = np.unique(
+        np.stack([ik.max(axis=1), np.abs(av[:, 1]), ik.min(axis=1)], axis=1),
+        axis=0, return_counts=True)
     nline = ncirc = 0
-    for v, c in zip(zip(m.tolist(), j.tolist(), n.tolist()), size.tolist()):
+    for v, c in zip(cls.tolist(), size.tolist()):
         nline += c * solid.is_absentee_line_voxel(v)
         ncirc += c * solid.is_absentee_circle_voxel(v)
     lines, circles = solid.species_voxel_counts(r)
@@ -309,9 +307,9 @@ def check_solid(max_r: int, long: bool = False,
             break
         av = memo(solid.solid_absentee_voxels, r)
         if "materialized" in todo:
-            row = memo(analysis.solid_count_row, r)
-            ok["materialized"] = (av.shape[0] == row.absentee
-                                  and solid.completed_solid_voxels(r).shape[0] == row.total)
+            ok["materialized"] = (av.shape[0] == solid.solid_absentee_count(r)
+                                  and solid.completed_solid_voxels(r).shape[0]
+                                  == solid.completed_solid_count(r))
         if "species" in todo:
             ok["species"] = _species_partition(av, r)
 
@@ -357,7 +355,7 @@ def check_solid(max_r: int, long: bool = False,
         if not bad else f"mismatch at r={bad[:4]}"))
 
     r_hole = min(max_r, 8)
-    holes = solid.coverage_holes(r_hole, memo(solid.solid_absentee_voxels, r_hole))
+    holes = solid.coverage_holes(r_hole)
     results.append(CheckResult(
         "solid", "coverage-holes", True,
         f"{holes.shape[0]} sealed voxels outside both species at r={r_hole} "

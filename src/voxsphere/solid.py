@@ -224,7 +224,7 @@ def flood_solid_voxels(r: int) -> np.ndarray:
     return canonicalize(np.concatenate([sp, inner]))
 
 
-def coverage_holes(r: int, absentees: np.ndarray | None = None) -> np.ndarray:
+def coverage_holes(r: int) -> np.ndarray:
     """Diagnostic: voxels enclosed by, but not part of, the union of all
     completed hollow spheres of radii <= r and the solid's absentee voxels.
 
@@ -237,12 +237,9 @@ def coverage_holes(r: int, absentees: np.ndarray | None = None) -> np.ndarray:
     Only enclosed voxels count, so where the union plus the species leaks
     this undercounts the uncovered voxels of the completed solid: 368
     against 384 at r = 16, 816 against 872 at r = 20.
-
-    absentees, when given, is solid_absentee_voxels(r) built already.
     """
-    if absentees is None:
-        absentees = solid_absentee_voxels(r)
-    covered = np.concatenate([union_completed_spheres(r), absentees])
+    covered = np.concatenate([union_completed_spheres(r),
+                              solid_absentee_voxels(r)])
     return enclosed_voxels(canonicalize(covered))
 
 
