@@ -16,7 +16,6 @@ from .lattice import (
     classify_pixel,
     isqrt,
     on_digital_circle,
-    ring_radius,
     symmetric_octet,
 )
 from .circle import (
@@ -25,10 +24,8 @@ from .circle import (
     disc_absentees,
     disc_pixels,
     gap_band_index,
-    is_disc_absentee,
     parabolic_band_index,
     run_interval,
-    union_circles,
 )
 from .sphere import (
     completed_sphere_count,
@@ -68,7 +65,6 @@ from .analysis import (
     alpha,
     closed_form_disc_count,
     compare_closed_form,
-    loglog_slope,
     solid_count_row,
     solid_table,
     sphere_count_row,
@@ -79,11 +75,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntegerInterval", "absentee_witness", "canonicalize", "ceil_sqrt",
-    "classify_pixel", "isqrt", "on_digital_circle", "ring_radius",
-    "symmetric_octet",
+    "classify_pixel", "isqrt", "on_digital_circle", "symmetric_octet",
     "absentee_interval", "circle_pixels", "disc_absentees", "disc_pixels",
-    "gap_band_index", "is_disc_absentee", "parabolic_band_index",
-    "run_interval", "union_circles",
+    "gap_band_index", "parabolic_band_index", "run_interval",
     "completed_sphere_count", "completed_sphere_voxels", "gap_plane",
     "generatrix", "hemisphere_absentees", "hemisphere_voxels",
     "is_sphere_absentee", "parabolic_family_contains", "sphere_absentees",
@@ -95,7 +89,6 @@ __all__ = [
     "polar_family_contains", "solid_absentee_count", "solid_absentee_voxels",
     "species_voxel_counts", "union_completed_spheres",
     "CountRow", "alpha", "closed_form_disc_count", "compare_closed_form",
-    "loglog_slope", "solid_count_row", "solid_table", "sphere_count_row",
-    "sphere_table",
+    "solid_count_row", "solid_table", "sphere_count_row", "sphere_table",
     "__version__",
 ]

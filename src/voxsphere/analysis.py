@@ -1,5 +1,4 @@
-"""Count tables, absentee ratios, growth-rate fits, and the closed-form
-disc-absentee formula.
+"""Count tables, absentee ratios, and the closed-form disc-absentee formula.
 
 All counting goes through the closed row tallies in :mod:`voxsphere.kernels`,
 so tables stream: no voxel set is materialized.  One per-process table cache,
@@ -156,18 +155,6 @@ def alpha(row: CountRow, places: int = 6) -> Decimal:
     q = Decimal(1).scaleb(-places)
     return (Decimal(row.absentee) / Decimal(row.total)).quantize(
         q, rounding=ROUND_HALF_EVEN)
-
-
-def loglog_slope(series) -> float:
-    """Ordinary least-squares slope of log(count) against log(r)."""
-    pts = [(int(r), int(c)) for r, c in series]
-    if len(pts) < 3:
-        raise ValueError("need at least three points")
-    if any(r <= 0 or c <= 0 for r, c in pts):
-        raise ValueError("radii and counts must be positive")
-    xs = np.log([r for r, _ in pts])
-    ys = np.log([c for _, c in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def _ceil_half_sqrt(n: int) -> int:

@@ -20,14 +20,12 @@ from typing import Iterator
 
 import numpy as np
 
-from . import kernels
+from . import io, kernels
 from .lattice import (
     INT,
     IntegerInterval,
-    canonicalize,
     ceil_sqrt,
     classify_many,
-    classify_pixel,
     isqrt,
     runs,
 )
@@ -89,36 +87,34 @@ def disc_pixels(r: int) -> np.ndarray:
     return out
 
 
-def _plane(n: int, *gap: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pixels of the box [-n, n]^2 with shell index s <= 2n, in
-    canonical order, each with its radius or witness q = s // 2: s is 2q on
-    the circle C(q) and 2q + 1 in the gap of witness q.  One (pixels, q)
-    pair per flag in gap: True keeps the gap pixels of witness q <= n - 1,
+# box pixels classified per slab of _plane at most, which bounds its temporaries
+_SLAB_PIXELS = 1 << 16
+
+
+def _plane(n: int, *gap: bool,
+           rows: int | None = None) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
+    """The pixels of the box [-n, n]^2 with shell index s <= 2n, each with
+    its radius or witness q = s // 2: s is 2q on the circle C(q) and 2q + 1
+    in the gap of witness q.  Yields the box one slab of columns at a time,
+    in ascending abscissa, as one (pixels, q) pair per flag in gap, pixels
+    in canonical order: True keeps the gap pixels of witness q <= n - 1,
     which are the absentees of D(n); False keeps the pixels of C(0), ...,
-    C(n).  The box is classified once, a slab of columns at a time, so
-    memory follows the kept pixels."""
+    C(n).  A slab holds at most _SLAB_PIXELS box pixels and, given rows,
+    the size of the shape lifted from the plane, no more columns than lift
+    to io._CHUNK_ROWS rows on average."""
     if n < 0:
         raise ValueError("radius must be non-negative")
     axis = np.arange(-n, n + 1, dtype=INT)
-    step = max(1, 2**18 // axis.size)
-    parts = [([], []) for _ in gap]
-    for x0 in range(0, axis.size, step):
-        box = np.stack(np.meshgrid(axis[x0:x0 + step], axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    width = _SLAB_PIXELS // axis.size
+    if rows:
+        width = min(width, axis.size * io._CHUNK_ROWS // rows)
+    width = max(width, 1)
+    for a in range(0, axis.size, width):
+        box = np.stack(np.meshgrid(axis[a:a + width], axis, indexing="ij"), axis=-1).reshape(-1, 2)
         q, absent = classify_many(box[:, 0], box[:, 1])
         inside = 2 * q + absent <= 2 * n
-        for (pix, radius), g in zip(parts, gap):
-            k = inside & (absent == g)
-            pix.append(box[k])
-            radius.append(q[k])
-    return [(np.concatenate(pix), np.concatenate(radius)) for pix, radius in parts]
-
-
-def union_circles(radii) -> np.ndarray:
-    """Union of the digital circles with the given radii, canonicalized."""
-    parts = [circle_pixels(int(s)) for s in radii]
-    if not parts:
-        return np.zeros((0, 2), dtype=INT)
-    return canonicalize(np.concatenate(parts))
+        keep = [inside & (absent == g) for g in gap]
+        yield [(box[k], q[k]) for k in keep]
 
 
 def iter_octant_absentees(w: int) -> Iterator[tuple[int, int]]:
@@ -144,14 +140,7 @@ def disc_absentees(r: int) -> np.ndarray:
     """All absentee pixels of the disc D(r): pixels inside the disc's extent
     lying on no C(s) with s <= r.  These are exactly the gap pixels with
     witness w <= r - 1."""
-    return _plane(r, True)[0][0]
-
-
-def is_disc_absentee(a: int, b: int) -> bool:
-    """True when (a, b) lies on no digital circle, i.e. strictly between two
-    consecutive circles.  Total over the grid; absentees of the disc D(r) are
-    exactly these pixels with witness radius <= r - 1."""
-    return classify_pixel(a, b)[1]
+    return np.concatenate([pix for [(pix, _)] in _plane(r, True)])
 
 
 def gap_band_index(value_sq: int, row: int) -> int | None:
@@ -188,26 +177,3 @@ def parabolic_band_index(i: int, k: int) -> int | None:
     if k < 1 or i > k or i < 0:
         return None
     return gap_band_index(i * i, k)
-
-
-def row_tiling_check(r: int, limit: int) -> bool:
-    """On the fixed row k = r >= 1, the run intervals I(r', k) and the gap
-    intervals J(r', k) for r' = k, k+1, ... alternate and exactly partition
-    the squared abscissas [0, limit) -- a regression guard on the interval
-    formulas."""
-    k = r
-    if k < 1:
-        raise ValueError("tiling is defined for rows k >= 1")
-    pos = 0
-    rp = k
-    while pos < limit:
-        iv = run_interval(rp, k)
-        if max(iv.lo, 0) != pos or iv.hi < pos:
-            return False
-        pos = iv.hi
-        gap = absentee_interval(rp, k)
-        if gap.lo != pos or gap.hi < pos:
-            return False
-        pos = gap.hi
-        rp += 1
-    return True

@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # checked before any work: io.write_text would fail only at the end
     out = getattr(args, "out", None)
+    if out is not None and (not out or out.endswith(os.sep) or os.path.isdir(out)):
+        print(f"error: --out must name a file: {out!r}", file=sys.stderr)
+        return 2
     if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         print(f"error: no such directory for --out: {out}", file=sys.stderr)
         return 2

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .lattice import INT, canonicalize
+from .lattice import INT
 
 FORMATS = ("canonical-text", "csv", "ply-ascii")
 
@@ -53,7 +53,8 @@ def _as_points(vox: np.ndarray) -> np.ndarray:
 
 
 # Rows converted per step of _ascii_rows, which bounds its temporaries; also
-# the row target of the builders' x-blocks (sphere._x_blocks).
+# the row target of the builders' x-blocks (circle._plane's slabs and
+# solid.completed_solid_blocks).
 _CHUNK_ROWS = 1 << 15
 
 
@@ -151,39 +152,6 @@ def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int | None) -> Iterat
 def emit(vox: np.ndarray, fmt: str) -> bytes:
     pts = _as_points(vox)
     return b"".join(stream([pts], fmt, len(pts)))
-
-
-def emit_canonical_text(vox: np.ndarray) -> bytes:
-    return emit(vox, "canonical-text")
-
-
-def emit_csv(vox: np.ndarray) -> bytes:
-    return emit(vox, "csv")
-
-
-def emit_ply(vox: np.ndarray) -> bytes:
-    return emit(vox, "ply-ascii")
-
-
-def parse_canonical_text(text: str | bytes) -> np.ndarray:
-    """Inverse of emit_canonical_text; accepts 2- or 3-column input and
-    re-canonicalizes, so parse(emit(S)) == S for canonical S."""
-    rows = []
-    width = None
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if width is None:
-            width = len(parts)
-            if width not in (2, 3):
-                raise ValueError(f"line {ln}: expected 2 or 3 columns")
-        if len(parts) != width:
-            raise ValueError(f"line {ln}: expected {width} columns")
-        rows.append([int(p) for p in parts])
-    if not rows:
-        return np.zeros((0, 3), dtype=INT)
-    return canonicalize(np.array(rows, dtype=INT))
 
 
 def write_text(text: str | bytes | Iterable[bytes], out: str | None) -> None:

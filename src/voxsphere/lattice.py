@@ -73,12 +73,6 @@ def classify_pixel(x: int, y: int) -> tuple[int, bool]:
     return q, True
 
 
-def ring_radius(x: int, y: int) -> int | None:
-    """Radius of the digital circle through (x, y), or None for absentees."""
-    q, absent = classify_pixel(x, y)
-    return None if absent else q
-
-
 def absentee_witness(x: int, y: int) -> int | None:
     """Witness radius w when (x, y) lies strictly between C(w) and C(w+1)."""
     q, absent = classify_pixel(x, y)

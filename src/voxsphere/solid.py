@@ -35,7 +35,12 @@ spheres: a line voxel keeps the abscissa of its gap pixel, a circle voxel
 that of its ring pixel, and a completed-solid voxel that of its (x, j)
 column, so each block of abscissas is built (and the species sorted) on its
 own, and the blocks, disjoint and ascending in x, concatenate to the
-canonical set.  The union of the completed spheres is still one array.
+canonical set.  The species blocks are the slabs of circle._plane, as for
+the hollow spheres; only the cross-section's gap pixels, about 0.31 r^2 of
+them, are held whole, since a ring of radius s takes the planes of column s
+of them.  The completed solid's blocks are runs of columns of its (x, j)
+matrix of z half-heights.  The union of the completed spheres is still one
+array.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
-from .circle import _plane, gap_band_index, iter_octant_absentees
-from .sphere import _joined, _lift, _lift_runs, _ring_at, _x_blocks, completed_sphere_voxels
+from .circle import _plane, disc_absentees, gap_band_index, iter_octant_absentees
+from .sphere import _joined, _lift, _lift_runs, _ring_at, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
 from . import io, kernels
@@ -107,16 +112,16 @@ def solid_absentee_blocks(r: int):
     abscissa.  A line voxel keeps the abscissa of its gap pixel and a circle
     voxel that of its ring pixel, so each block lifts the pixels of one run
     of abscissas and is sorted on its own."""
-    (pix, s), (gaps, w) = _plane(r, False, True)
-    h = exact_isqrt_many(w)
+    gaps = disc_absentees(r)  # the cross-section's gap pixels, canonical
     # each gap pixel (s, j) of the cross-section carries the ring C(s) in
-    # the plane y = j: a ring pixel of radius s takes the planes of the
-    # block of canonical gap pixels with abscissa s (none for s = 0)
-    lo, hi = (np.searchsorted(gaps[:, 0], s, side=side) for side in ("left", "right"))
-    for p, g in _x_blocks(r, (pix, hi - lo), (gaps, 2 * h + 1)):
-        circles = _lift_runs(pix[p], lo[p], hi[p] - lo[p])
+    # the plane y = j: a ring pixel of radius s takes the planes of column
+    # s of gaps, gaps[cut[s]:cut[s + 1]] (none for s = 0)
+    cut = np.searchsorted(gaps[:, 0], np.arange(r + 2))
+    for (pix, s), (g, w) in _plane(r, False, True, rows=solid_absentee_count(r)):
+        h = exact_isqrt_many(w)
+        circles = _lift_runs(pix, cut[s], cut[s + 1] - cut[s])
         circles[:, 1] = gaps[circles[:, 1], 1]
-        yield canonicalize(np.concatenate([_lift_runs(gaps[g], -h[g], 2 * h[g] + 1), circles]))
+        yield canonicalize(np.concatenate([_lift_runs(g, -h, 2 * h + 1), circles]))
 
 
 def solid_absentee_count(r: int) -> int:

@@ -26,12 +26,14 @@ squared radii, making the plane unique, always >= 1 (so the equator never
 carries gap voxels), and mirror-symmetric between hemispheres.
 
 Every lift keeps the abscissa of its pixel, so the voxels of abscissas
-x0..x1 are the lift of the plane's pixels in those columns, one slice of
-the canonical pixel arrays.  Each builder cuts them into x-blocks of about
-io._CHUNK_ROWS voxels, lifts, mirrors and canonicalizes each block on its
-own, and yields the blocks in ascending abscissa; as their abscissas are
-disjoint and ascending, their concatenation is canonical (io module
-docstring), and each sort covers one block.  The array builders are that
+x0..x1 are the lift of the plane's pixels in those columns.  circle._plane
+classifies the box one slab of columns at a time; given the shape's exact
+closed count, it keeps each slab narrow enough to lift to about
+io._CHUNK_ROWS voxels.  Each builder lifts, mirrors and canonicalizes
+one slab at a time and yields it as an x-block, in ascending abscissa; as
+the blocks' abscissas are disjoint and ascending, their concatenation is
+canonical (io module docstring), each sort covers one block, and no more
+than one slab of the plane is held at once.  The array builders are that
 concatenation: ``generate`` writes the blocks as they come.
 """
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import analysis, circle, io, kernels
+from . import analysis, circle, kernels
 from .lattice import (COORD_MAX, INT, absentee_witness, canonicalize, classify_many, isqrt,
                       runs, symmetric_octet)
 
@@ -71,21 +73,17 @@ def _lift_runs(pix: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndar
     return _lift(np.repeat(pix, count, axis=0), runs(start, count))
 
 
-def _ring_runs(r: int, pix: np.ndarray, q: np.ndarray):
-    """(pixels, first plane, plane count) of the upper-hemisphere rings:
-    pix and q are circle._plane(r, False)[0], the pixels of C(0), ..., C(r)
-    with their radii q, and each goes to the planes of column q of C(r)
-    (module docstring).  Distinct rings are disjoint."""
+def _upper(r: int, *gap: bool, rows: int | None = None):
+    """The upper-hemisphere lift of each slab of circle._plane(r, *gap,
+    rows=rows): a pixel of C(q) goes to the planes of column q of C(r)
+    (module docstring), a gap pixel of witness w to the one plane
+    gap_plane(r, w).  Distinct rings are disjoint."""
     first, last = kernels.row_extents(r)
-    return pix, first[q], last[q] - first[q] + 1
-
-
-def _gap_runs(r: int, pix: np.ndarray, w: np.ndarray):
-    """(pixels, plane, 1) of the upper-hemisphere gap voxels: pix and w are
-    circle._plane(r, True)[0], the gap pixels of the disc with their
-    witnesses, and each goes to the one plane of its witness."""
-    planes = np.array([gap_plane(r, v) for v in range(r)], dtype=INT)
-    return pix, planes[w], np.ones(len(w), dtype=INT)
+    planes = np.array([gap_plane(r, w) for w in range(r)], dtype=INT)
+    for slab in circle._plane(r, *gap, rows=rows):
+        yield np.concatenate([_lift(pix, planes[q]) if g else
+                              _lift_runs(pix, first[q], last[q] - first[q] + 1)
+                              for (pix, q), g in zip(slab, gap)])
 
 
 def _mirrored(upper: np.ndarray) -> np.ndarray:
@@ -95,34 +93,17 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
     return both
 
 
-def _x_blocks(r: int, *parts):
-    """Cut the canonical pixel arrays of parts at the same abscissas into
-    x-blocks of about io._CHUNK_ROWS voxels each: one list per block, of one
-    slice per part.  A part is (pix, rows): pix holds canonical pixels of
-    [-r, r]^2, and pix[i] lifts to rows[i] voxels.  There is always at
-    least one block, even when every part is empty."""
-    xs = np.arange(-r, r + 2, dtype=INT)
-    cuts = [np.searchsorted(pix[:, 0], xs) for pix, _ in parts]
-    before = sum(np.concatenate([[0], np.cumsum(rows)])[cut]
-                 for (_, rows), cut in zip(parts, cuts))
-    for a, b in kernels._blocks(np.diff(before), io._CHUNK_ROWS):
-        yield [slice(cut[a], cut[b]) for cut in cuts]
-
-
 def _joined(blocks) -> np.ndarray:
     """The concatenation of x-blocks; a single block as it is."""
     blocks = list(blocks)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _sphere_blocks(r: int, *parts):
-    """Canonical x-blocks of the mirrored lift of parts, (pixels, first
-    plane, plane count) triples of the upper hemisphere.  A voxel keeps the
-    abscissa of its pixel, so each block is the lift of the pixels in one
-    run of abscissas, mirrored and canonicalized on its own."""
-    for cut in _x_blocks(r, *((pix, 2 * count) for pix, _, count in parts)):
-        upper = np.concatenate([_lift_runs(pix[s], start[s], count[s])
-                                for (pix, start, count), s in zip(parts, cut)])
+def _sphere_blocks(r: int, *gap: bool, rows: int):
+    """Canonical x-blocks of the sphere lifted from circle._plane(r, *gap):
+    each slab's upper hemisphere, mirrored and canonicalized on its own;
+    rows is the size of the whole sphere."""
+    for upper in _upper(r, *gap, rows=rows):
         yield canonicalize(_mirrored(upper))
 
 
@@ -130,12 +111,12 @@ def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, canonicalized.  The
     generatrix pixels of abscissa q are the column q of C(r), so every pixel
     of C(q) is lifted to that column's run of planes."""
-    return canonicalize(_lift_runs(*_ring_runs(r, *circle._plane(r, False)[0])))
+    return canonicalize(np.concatenate(list(_upper(r, False))))
 
 
 def sphere_blocks(r: int):
     """sphere_voxels(r) as canonical x-blocks, in ascending abscissa."""
-    yield from _sphere_blocks(r, _ring_runs(r, *circle._plane(r, False)[0]))
+    yield from _sphere_blocks(r, False, rows=sphere_surface_count(r))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
@@ -177,12 +158,12 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
 def hemisphere_absentees(r: int) -> np.ndarray:
     """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
-    return canonicalize(_lift_runs(*_gap_runs(r, *circle._plane(r, True)[0])))
+    return canonicalize(np.concatenate(list(_upper(r, True))))
 
 
 def sphere_absentee_blocks(r: int):
     """sphere_absentees(r) as canonical x-blocks, in ascending abscissa."""
-    yield from _sphere_blocks(r, _gap_runs(r, *circle._plane(r, True)[0]))
+    yield from _sphere_blocks(r, True, rows=sphere_absentee_count(r))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
@@ -198,9 +179,7 @@ def sphere_absentee_count(r: int) -> int:
 def completed_sphere_blocks(r: int):
     """completed_sphere_voxels(r) as canonical x-blocks, in ascending
     abscissa.  Its rings and gap pixels come from one classified plane."""
-    rings, gaps = circle._plane(r, False, True)
-    rings, gaps = _ring_runs(r, *rings), _gap_runs(r, *gaps)  # drops q and w
-    yield from _sphere_blocks(r, rings, gaps)
+    yield from _sphere_blocks(r, False, True, rows=completed_sphere_count(r))
 
 
 def completed_sphere_voxels(r: int) -> np.ndarray:

@@ -196,6 +196,68 @@ def oracle_solid_absentee_voxels(r: int) -> set[tuple[int, int, int]]:
     return out
 
 
+def oracle_plane(n: int, *gap: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """circle._plane(n, *gap) classified as one whole box and not in slabs:
+    per flag, the canonical pixels of [-n, n]^2 with shell index <= 2n that
+    are gap pixels (True) or circle pixels (False), with their witness or
+    radius."""
+    from voxsphere.lattice import classify_many
+
+    axis = np.arange(-n, n + 1, dtype=np.int64)
+    box = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    q, absent = classify_many(box[:, 0], box[:, 1])
+    inside = 2 * q + absent <= 2 * n
+    return [(box[k], q[k]) for k in (inside & (absent == g) for g in gap)]
+
+
+def union_circles(radii) -> np.ndarray:
+    """Union of the digital circles with the given radii, canonicalized."""
+    from voxsphere.circle import circle_pixels
+    from voxsphere.lattice import INT, canonicalize
+
+    parts = [circle_pixels(int(s)) for s in radii]
+    if not parts:
+        return np.zeros((0, 2), dtype=INT)
+    return canonicalize(np.concatenate(parts))
+
+
+def row_tiling_check(r: int, limit: int) -> bool:
+    """On the fixed row k = r >= 1, the run intervals I(r', k) and the gap
+    intervals J(r', k) for r' = k, k+1, ... alternate and exactly partition
+    the squared abscissas [0, limit) -- a regression guard on the interval
+    formulas."""
+    from voxsphere.circle import absentee_interval, run_interval
+
+    k = r
+    if k < 1:
+        raise ValueError("tiling is defined for rows k >= 1")
+    pos = 0
+    rp = k
+    while pos < limit:
+        iv = run_interval(rp, k)
+        if max(iv.lo, 0) != pos or iv.hi < pos:
+            return False
+        pos = iv.hi
+        gap = absentee_interval(rp, k)
+        if gap.lo != pos or gap.hi < pos:
+            return False
+        pos = gap.hi
+        rp += 1
+    return True
+
+
+def loglog_slope(series) -> float:
+    """Ordinary least-squares slope of log(count) against log(r)."""
+    pts = [(int(r), int(c)) for r, c in series]
+    if len(pts) < 3:
+        raise ValueError("need at least three points")
+    if any(r <= 0 or c <= 0 for r, c in pts):
+        raise ValueError("radii and counts must be positive")
+    xs = np.log([r for r, _ in pts])
+    ys = np.log([c for _, c in pts])
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
 def oracle_size_tables(rmax: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(csz, dsz) for radii start..rmax, one radius at a time over all of its
     rows j = 1..r: the table builder the blocked octant sweep replaced."""
@@ -310,3 +372,24 @@ ORACLE_EMITTERS = {
     "csv": oracle_csv,
     "ply-ascii": oracle_ply,
 }
+
+
+def parse_canonical_text(text: str | bytes) -> np.ndarray:
+    """Inverse of io.emit(..., "canonical-text"); accepts 2- or 3-column
+    input and re-canonicalizes, so parse(emit(S)) == S for canonical S."""
+    rows = []
+    width = None
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if width is None:
+            width = len(parts)
+            if width not in (2, 3):
+                raise ValueError(f"line {ln}: expected 2 or 3 columns")
+        if len(parts) != width:
+            raise ValueError(f"line {ln}: expected {width} columns")
+        rows.append([int(p) for p in parts])
+    if not rows:
+        return np.zeros((0, 3), dtype=np.int64)
+    return oracle_canonicalize(np.array(rows, dtype=np.int64))

@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from _oracles import (
+    loglog_slope,
     oracle_hemisphere_absentees,
     oracle_hemisphere_absentees_def4,
     oracle_hemisphere_absentees_swept,
@@ -240,15 +241,15 @@ def test_criterion_09_object_counts():
 
 def test_criterion_10_growth_slopes():
     radii = [64, 128, 256, 512, 1024]
-    hollow = analysis.loglog_slope(
+    hollow = loglog_slope(
         (r, analysis.sphere_count_row(r).absentee) for r in radii)
     assert abs(hollow - 2.0) < 0.1, hollow
 
     radii = [64, 128, 256, 512]
-    line_vox = analysis.loglog_slope(
+    line_vox = loglog_slope(
         (r, solid.species_voxel_counts(r)[0]) for r in radii)
     assert abs(line_vox - 2.5) < 0.2, line_vox
-    total = analysis.loglog_slope(
+    total = loglog_slope(
         (r, analysis.solid_count_row(r).total) for r in radii)
     assert abs(total - 3.0) < 0.15, total
 

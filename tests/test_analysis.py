@@ -2,6 +2,7 @@ from decimal import Decimal
 
 import pytest
 
+from _oracles import loglog_slope
 from voxsphere import analysis
 from voxsphere.analysis import (
     HOLLOW_FINAL_ROW_DEFICIT,
@@ -12,7 +13,6 @@ from voxsphere.analysis import (
     closed_form_disc_count,
     compare_closed_form,
     enumerated_disc_absentee_count,
-    loglog_slope,
     reference_counts,
     reference_ratios,
     run_count_bound,

@@ -4,21 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as O
+from _oracles import row_tiling_check, union_circles
+from voxsphere import circle, io
 from voxsphere.circle import (
     absentee_interval,
     circle_pixels,
     disc_absentees,
     disc_pixels,
     gap_band_index,
-    is_disc_absentee,
     iter_octant_absentees,
     parabolic_band_index,
-    row_tiling_check,
     run_interval,
-    union_circles,
 )
 from voxsphere.kernels import row_extents
 from voxsphere.lattice import absentee_witness, canonicalize, classify_pixel, on_digital_circle
+from voxsphere.sphere import completed_sphere_count
 
 CIRCLE_SIZES = [1, 4, 12, 16, 24, 28, 32, 40, 44, 52, 56, 64, 68, 72, 80, 84, 92]
 DISC_SIZES = [1, 5, 21, 37, 61, 97, 129, 177, 221, 277, 349]
@@ -56,6 +56,29 @@ def test_negative_radius_rejected():
     for fn in (circle_pixels, disc_pixels, disc_absentees, row_extents):
         with pytest.raises(ValueError):
             fn(-1)
+
+
+@pytest.mark.parametrize("r", [0, 1, 7, 40, 300])
+def test_plane_slabs_concatenate_to_the_whole_plane(monkeypatch, r):
+    """circle._plane yields slabs of canonical pixels, x-disjoint and in
+    ascending abscissa, whose concatenation is the plane classified as one
+    box.  The row target is patched to a fifth of the completed sphere, so
+    its slabs split the box from r = 1 on."""
+    rows = completed_sphere_count(r)
+    monkeypatch.setattr(io, "_CHUNK_ROWS", max(1, rows // 5))
+    slabs = list(circle._plane(r, False, True, rows=rows))
+    assert len(slabs) > 1 or r == 0
+    spans = []
+    for slab in slabs:
+        assert len(slab) == 2
+        xs = np.concatenate([pix[:, 0] for pix, _ in slab])
+        spans.append((xs.min(), xs.max()))
+        for pix, q in slab:
+            assert np.array_equal(pix, canonicalize(pix)) and len(q) == len(pix)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    for i, (pix, q) in enumerate(O.oracle_plane(r, False, True)):
+        assert np.array_equal(np.concatenate([slab[i][0] for slab in slabs]), pix)
+        assert np.array_equal(np.concatenate([slab[i][1] for slab in slabs]), q)
 
 
 @pytest.mark.parametrize("r", range(21))
@@ -132,15 +155,15 @@ def test_octant_absentees_shape(w):
 
 def test_no_axis_absentees():
     for v in range(200):
-        assert not is_disc_absentee(v, 0)
-        assert not is_disc_absentee(0, v)
+        assert not classify_pixel(v, 0)[1]
+        assert not classify_pixel(0, v)[1]
 
 
 def test_witness_helpers():
-    assert is_disc_absentee(1, 1)
+    assert classify_pixel(1, 1)[1]
     assert absentee_witness(1, 1) == 1
     assert absentee_witness(2, 1) is None
-    assert not is_disc_absentee(0, 0)
+    assert not classify_pixel(0, 0)[1]
 
 
 @pytest.mark.parametrize("r", range(2, 33))

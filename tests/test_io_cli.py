@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import parse_canonical_text
 from voxsphere import circle, cli, io as vio, solid, sphere
 from voxsphere.lattice import INT, canonicalize
 
@@ -36,20 +37,20 @@ def run_proc(*argv):
 # ---------------------------------------------------------------- emitters
 
 def test_canonical_text_frozen():
-    assert vio.emit_canonical_text(circle.circle_pixels(0)) == b"0 0\n"
-    assert (vio.emit_canonical_text(circle.circle_pixels(1))
+    assert vio.emit(circle.circle_pixels(0), "canonical-text") == b"0 0\n"
+    assert (vio.emit(circle.circle_pixels(1), "canonical-text")
             == b"-1 0\n0 -1\n0 1\n1 0\n")
-    assert vio.emit_canonical_text(sphere.sphere_voxels(0)) == b"0 0 0\n"
+    assert vio.emit(sphere.sphere_voxels(0), "canonical-text") == b"0 0 0\n"
 
 
 def test_canonical_text_empty():
-    assert vio.emit_canonical_text(np.zeros((0, 2), dtype=INT)) == b""
-    assert vio.emit_canonical_text(np.zeros((0, 3), dtype=INT)) == b""
+    assert vio.emit(np.zeros((0, 2), dtype=INT), "canonical-text") == b""
+    assert vio.emit(np.zeros((0, 3), dtype=INT), "canonical-text") == b""
 
 
 def test_csv_frozen():
-    assert vio.emit_csv(circle.circle_pixels(0)) == b"i,j\n0,0\n"
-    assert (vio.emit_csv(np.array([[1, -2, 3]], dtype=INT))
+    assert vio.emit(circle.circle_pixels(0), "csv") == b"i,j\n0,0\n"
+    assert (vio.emit(np.array([[1, -2, 3]], dtype=INT), "csv")
             == b"i,j,k\n1,-2,3\n")
 
 
@@ -67,12 +68,12 @@ def test_ply_frozen_and_2d_embedding():
         b"0 1 0\n"
         b"1 0 0\n"
     )
-    assert vio.emit_ply(circle.circle_pixels(1)) == want
+    assert vio.emit(circle.circle_pixels(1), "ply-ascii") == want
 
 
 def test_ply_vertex_count_matches_rows():
     vox = sphere.completed_sphere_voxels(3)
-    text = vio.emit_ply(vox)
+    text = vio.emit(vox, "ply-ascii")
     head, _, body = text.partition(b"end_header\n")
     assert f"element vertex {vox.shape[0]}\n".encode() in head
     assert body.count(b"\n") == vox.shape[0]
@@ -105,27 +106,27 @@ points_3d = st.sets(
 @given(points_2d | points_3d)
 def test_round_trip(points):
     vox = canonicalize(np.array(sorted(points), dtype=INT))
-    back = vio.parse_canonical_text(vio.emit_canonical_text(vox))
+    back = parse_canonical_text(vio.emit(vox, "canonical-text"))
     assert np.array_equal(back, vox)
 
 
 def test_parse_reorders_and_skips_blanks():
-    got = vio.parse_canonical_text("3 1\n\n  \n-2 5\n3 0\n")
+    got = parse_canonical_text("3 1\n\n  \n-2 5\n3 0\n")
     assert np.array_equal(got, np.array([[-2, 5], [3, 0], [3, 1]]))
 
 
 def test_parse_empty_input():
-    assert vio.parse_canonical_text("").shape == (0, 3)
-    assert vio.parse_canonical_text(" \n\t\n").shape == (0, 3)
+    assert parse_canonical_text("").shape == (0, 3)
+    assert parse_canonical_text(" \n\t\n").shape == (0, 3)
 
 
 def test_parse_rejects_bad_columns():
     with pytest.raises(ValueError, match="line 1"):
-        vio.parse_canonical_text("7\n")
+        parse_canonical_text("7\n")
     with pytest.raises(ValueError, match="line 2"):
-        vio.parse_canonical_text("1 2\n3 4 5\n")
+        parse_canonical_text("1 2\n3 4 5\n")
     with pytest.raises(ValueError, match="line 3"):
-        vio.parse_canonical_text("1 2 3\n4 5 6\n7 8\n")
+        parse_canonical_text("1 2 3\n4 5 6\n7 8\n")
 
 
 # ------------------------------------------------------------- file writes
@@ -173,7 +174,7 @@ def test_generate_sphere_complete_r2_lines(capsys):
     rc, out, _ = run_cli(capsys, "generate", "sphere-complete", "-r", "2")
     assert rc == 0
     assert out.count("\n") == 54
-    assert vio.parse_canonical_text(out).shape == (54, 3)
+    assert parse_canonical_text(out).shape == (54, 3)
 
 
 def test_generate_solid_absentees_r10_lines(capsys):
@@ -468,10 +469,9 @@ def test_generate_bytes_frozen(tmp_path, shape, fmt, r):
 
 
 # canonical-text sha256 of the plane-lifted shapes at larger radii, recorded
-# before the sphere rings were lifted along the columns of C(r).  The box
-# [-r, r]^2 of r = 300 and 400 takes more than one classified slab of
-# circle._plane (from r = 256 on); the r = 120 solid has 779140 absentee
-# voxels.
+# before the sphere rings were lifted along the columns of C(r).  Each
+# shape spans many classified slabs of circle._plane; the r = 120 solid has
+# 779140 absentee voxels.
 FROZEN_LARGE_SHA256 = {
     ("sphere", 300): "e0d2d037f21b31101688c9debf12b0d290f6dbebbcb3ec974e69f2b9a3623970",
     ("sphere-absentees", 400): "d47b69520220a5a84e8136febe07a2ad4965e0247b2c9c19237a9a76a218e7ee",
@@ -602,19 +602,28 @@ def test_counts_cap_checked_before_expanding(capsys, spec):
 @pytest.mark.parametrize("argv", [("generate", "circle", "-r", "3"),
                                   ("counts", "--kind", "sphere", "--radii", "10")])
 def test_out_into_missing_directory(capsys, monkeypatch, tmp_path, argv):
-    """--out in a directory that does not exist is an invalid argument
-    (exit 2), refused before any shape or table is built."""
+    """--out in a directory that does not exist, or naming no file (an
+    existing directory, a path ending in a separator, the empty string), is
+    an invalid argument (exit 2), refused before any shape or table is
+    built."""
     def no_work(*_):
         raise AssertionError("work started")
 
     monkeypatch.setitem(cli.GENERATORS, "circle", no_work)
     monkeypatch.setattr(cli.analysis, "sphere_table", no_work)
+    monkeypatch.chdir(tmp_path)  # the empty path resolves here
     (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
     for out in (tmp_path / "missing" / "out.txt", tmp_path / "file" / "out.txt"):
         rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert rc == 2 and stdout == ""
         assert err == f"error: no such directory for --out: {out}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    for out in (str(tmp_path / "dir"), str(tmp_path / "missing") + os.sep, ""):
+        rc, stdout, err = run_cli(capsys, *argv, "--out", out)
+        assert rc == 2 and stdout == ""
+        assert err == f"error: --out must name a file: {out!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not list(tmp_path.parent.glob(".voxsphere-*"))
 
 
 # ------------------------------------------------------------------ verify

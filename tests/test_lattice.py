@@ -16,7 +16,6 @@ from voxsphere.lattice import (
     exact_isqrt_many,
     isqrt,
     on_digital_circle,
-    ring_radius,
     symmetric_octet,
 )
 
@@ -79,7 +78,8 @@ def test_membership_means_classify_radius(x, y, r):
 def test_ring_radius_and_witness_partition():
     for x in range(-40, 41):
         for y in range(-40, 41):
-            s = ring_radius(x, y)
+            q, absent = classify_pixel(x, y)
+            s = None if absent else q
             w = absentee_witness(x, y)
             assert (s is None) != (w is None)
 
@@ -88,7 +88,7 @@ def test_known_absentee():
     # the first gap pixel of the plane sits between C(1) and C(2)
     assert classify_pixel(1, 1) == (1, True)
     assert absentee_witness(1, 1) == 1
-    assert ring_radius(2, 1) == 2
+    assert classify_pixel(2, 1) == (2, False)
 
 
 def test_classify_many_matches_scalar():
