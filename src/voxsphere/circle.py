@@ -12,15 +12,23 @@ and the gap between consecutive circles C(w), C(w+1) on that row is
 J(w, k) is nonempty only for k <= w, and it can contain a perfect square
 only when 2k^2 - k >= w^2, so absentees cluster around the diagonal and
 never touch the axes.
+
+The plane is classified one slab of columns at a time (_plane), and the gap
+pixels of each slab are an x-block of disc_absentees: ``generate`` writes
+them as they come.  Every array builder of the package, here and in the
+sphere and solid modules, copies its x-blocks into one array sized by the
+shape's exact closed count (_joined), so it never holds a list of blocks
+and their concatenation at once; disc_absentees reads its count, the gap
+total |D(r)| less its circles, from the O(r) hollow count row.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import io, kernels
+from . import analysis, io, kernels
 from .lattice import (
     INT,
     IntegerInterval,
@@ -117,6 +125,30 @@ def _plane(n: int, *gap: bool,
         yield [(box[k], q[k]) for k in keep]
 
 
+def _joined(blocks: Iterable[np.ndarray], rows: int) -> np.ndarray:
+    """The concatenation of blocks, which must hold rows rows in all: a
+    single block as it is, else one array of rows rows, allocated once and
+    filled block by block as the blocks come, so no list of blocks is kept.
+    Raises ValueError when the blocks hold fewer or more rows than rows, so
+    no short or padded array is ever returned."""
+    blocks = iter(blocks)
+    out = next(blocks)
+    n = len(out)
+    if n < rows:
+        whole = np.empty((rows, out.shape[1]), dtype=out.dtype)
+        whole[:n] = out
+        out = whole
+    for block in blocks:
+        if n + len(block) > rows:
+            n += len(block)
+            break
+        out[n:n + len(block)] = block
+        n += len(block)
+    if n != rows:
+        raise ValueError(f"the x-blocks hold {n} rows against an exact count of {rows}")
+    return out
+
+
 def iter_octant_absentees(w: int) -> Iterator[tuple[int, int]]:
     """Absentee pixels (x, k) with 0 <= x <= k and witness w, i.e. pixels
     strictly between C(w) and C(w+1).  Scans only rows k with 2k^2 - k >= w^2:
@@ -140,7 +172,26 @@ def disc_absentees(r: int) -> np.ndarray:
     """All absentee pixels of the disc D(r): pixels inside the disc's extent
     lying on no C(s) with s <= r.  These are exactly the gap pixels with
     witness w <= r - 1."""
-    return np.concatenate([pix for [(pix, _)] in _plane(r, True)])
+    n = analysis.sphere_count_row(r).absentee // 2
+    return _joined(_disc_absentee_blocks(r, n), n)
+
+
+def disc_absentee_blocks(r: int) -> Iterator[np.ndarray]:
+    """disc_absentees(r) as canonical x-blocks, in ascending abscissa."""
+    yield from _disc_absentee_blocks(r, disc_absentee_count(r))
+
+
+def _disc_absentee_blocks(r: int, rows: int) -> Iterator[np.ndarray]:
+    """disc_absentee_blocks(r), given its exact row count, which sets the
+    slab width: the gap pixels of each slab of _plane(r, True)."""
+    for [(pix, _)] in _plane(r, True, rows=rows):
+        yield pix
+
+
+def disc_absentee_count(r: int) -> int:
+    """|disc_absentees(r)| without materializing the set: the hollow sphere
+    of radius r has two gap voxels over each gap pixel of D(r)."""
+    return analysis.sphere_count_row(r).absentee // 2
 
 
 def gap_band_index(value_sq: int, row: int) -> int | None:

@@ -48,6 +48,7 @@ SOLID_SHAPES = {"solid", "solid-absentees", "solid-complete"}
 # Shapes that generate writes x-block by x-block: (canonical x-blocks,
 # exact row count for the PLY header).  The others go out as one array.
 STREAMED = {
+    "disc-absentees": (circle.disc_absentee_blocks, circle.disc_absentee_count),
     "sphere": (sphere.sphere_blocks, sphere.sphere_surface_count),
     "sphere-absentees": (sphere.sphere_absentee_blocks, sphere.sphere_absentee_count),
     "sphere-complete": (sphere.completed_sphere_blocks, sphere.completed_sphere_count),

@@ -39,8 +39,10 @@ canonical set.  The species blocks are the slabs of circle._plane, as for
 the hollow spheres; only the cross-section's gap pixels, about 0.31 r^2 of
 them, are held whole, since a ring of radius s takes the planes of column s
 of them.  The completed solid's blocks are runs of columns of its (x, j)
-matrix of z half-heights.  The union of the completed spheres is still one
-array.
+matrix of z half-heights.  ``generate`` writes the blocks as they come; the
+array builders copy them into one array sized by the exact closed count
+(analysis.solid_count_row), as the sphere builders do.  The union of the
+completed spheres is still built from whole spheres.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
-from .circle import _plane, disc_absentees, gap_band_index, iter_octant_absentees
-from .sphere import _joined, _lift, _lift_runs, _ring_at, completed_sphere_voxels
+from .circle import _joined, _plane, disc_absentees, gap_band_index, iter_octant_absentees
+from .sphere import _lift, _lift_runs, _ring_at, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
-from . import io, kernels
+from . import analysis, io, kernels
 
 
 def absentee_line_voxels(a: int, b: int, w: int) -> np.ndarray:
@@ -104,7 +106,8 @@ def solid_absentee_voxels(r: int) -> np.ndarray:
     completed radius-2 sphere).  Line and circle voxels are disjoint because
     their zx-projections are a gap pixel and a circle pixel respectively.
     """
-    return _joined(solid_absentee_blocks(r))
+    n = analysis.solid_count_row(r).absentee
+    return _joined(_solid_absentee_blocks(r, n), n)
 
 
 def solid_absentee_blocks(r: int):
@@ -112,12 +115,18 @@ def solid_absentee_blocks(r: int):
     abscissa.  A line voxel keeps the abscissa of its gap pixel and a circle
     voxel that of its ring pixel, so each block lifts the pixels of one run
     of abscissas and is sorted on its own."""
+    yield from _solid_absentee_blocks(r, solid_absentee_count(r))
+
+
+def _solid_absentee_blocks(r: int, rows: int):
+    """solid_absentee_blocks(r), given its exact row count, which sets the
+    slab width."""
     gaps = disc_absentees(r)  # the cross-section's gap pixels, canonical
     # each gap pixel (s, j) of the cross-section carries the ring C(s) in
     # the plane y = j: a ring pixel of radius s takes the planes of column
     # s of gaps, gaps[cut[s]:cut[s + 1]] (none for s = 0)
     cut = np.searchsorted(gaps[:, 0], np.arange(r + 2))
-    for (pix, s), (g, w) in _plane(r, False, True, rows=solid_absentee_count(r)):
+    for (pix, s), (g, w) in _plane(r, False, True, rows=rows):
         h = exact_isqrt_many(w)
         circles = _lift_runs(pix, cut[s], cut[s + 1] - cut[s])
         circles[:, 1] = gaps[circles[:, 1], 1]
@@ -162,7 +171,8 @@ def completed_solid_voxels(r: int) -> np.ndarray:
     when |z| is at most the row maximum of C(s) at |x| (the disc_pixels
     column fill), so the rows come out in canonical order.
     """
-    return _joined(completed_solid_blocks(r))
+    n = analysis.solid_count_row(r).total
+    return _joined(completed_solid_blocks(r), n)
 
 
 def completed_solid_blocks(r: int):

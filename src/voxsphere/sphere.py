@@ -33,8 +33,14 @@ io._CHUNK_ROWS voxels.  Each builder lifts, mirrors and canonicalizes
 one slab at a time and yields it as an x-block, in ascending abscissa; as
 the blocks' abscissas are disjoint and ascending, their concatenation is
 canonical (io module docstring), each sort covers one block, and no more
-than one slab of the plane is held at once.  The array builders are that
-concatenation: ``generate`` writes the blocks as they come.
+than one slab of the plane is held at once.  ``generate`` writes the blocks
+as they come.  The array builders copy them, as they come, into one array
+sized by the shape's exact closed count from analysis (circle._joined), and
+raise should the blocks hold fewer or more rows: the hemispheres too, each
+slab canonicalized on its own, so no builder keeps a list of its blocks or
+sorts the whole set again.  The upper hemisphere has (|sphere| + |C(r)|) / 2
+voxels: the sphere is it and its mirror, which share only the equator ring
+C(r).
 """
 
 from __future__ import annotations
@@ -93,12 +99,6 @@ def _mirrored(upper: np.ndarray) -> np.ndarray:
     return both
 
 
-def _joined(blocks) -> np.ndarray:
-    """The concatenation of x-blocks; a single block as it is."""
-    blocks = list(blocks)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
 def _sphere_blocks(r: int, *gap: bool, rows: int):
     """Canonical x-blocks of the sphere lifted from circle._plane(r, *gap):
     each slab's upper hemisphere, mirrored and canonicalized on its own;
@@ -107,11 +107,19 @@ def _sphere_blocks(r: int, *gap: bool, rows: int):
         yield canonicalize(_mirrored(upper))
 
 
+def _hemisphere(r: int, gap: bool, rows: int) -> np.ndarray:
+    """The upper hemisphere lifted from circle._plane(r, gap), of rows
+    voxels: each slab canonicalized on its own, as an x-block."""
+    return circle._joined((canonicalize(upper) for upper in _upper(r, gap, rows=rows)), rows)
+
+
 def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, canonicalized.  The
     generatrix pixels of abscissa q are the column q of C(r), so every pixel
     of C(q) is lifted to that column's run of planes."""
-    return canonicalize(np.concatenate(list(_upper(r, False))))
+    # the sphere is this and its mirror, which share only the equator ring C(r)
+    n = analysis.sphere_count_row(r).primitive + int(kernels.size_tables(r, start=r)[0])
+    return _hemisphere(r, False, n // 2)
 
 
 def sphere_blocks(r: int):
@@ -121,7 +129,8 @@ def sphere_blocks(r: int):
 
 def sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution: hemisphere plus its mirror through the equator."""
-    return _joined(sphere_blocks(r))
+    n = analysis.sphere_count_row(r).primitive
+    return circle._joined(_sphere_blocks(r, False, rows=n), n)
 
 
 def sphere_surface_count(r: int) -> int:
@@ -158,7 +167,7 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
 def hemisphere_absentees(r: int) -> np.ndarray:
     """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
-    return canonicalize(np.concatenate(list(_upper(r, True))))
+    return _hemisphere(r, True, analysis.sphere_count_row(r).absentee // 2)
 
 
 def sphere_absentee_blocks(r: int):
@@ -168,7 +177,8 @@ def sphere_absentee_blocks(r: int):
 
 def sphere_absentees(r: int) -> np.ndarray:
     """Gap voxels of both hemispheres (the mirror never meets the equator)."""
-    return _joined(sphere_absentee_blocks(r))
+    n = analysis.sphere_count_row(r).absentee
+    return circle._joined(_sphere_blocks(r, True, rows=n), n)
 
 
 def sphere_absentee_count(r: int) -> int:
@@ -184,7 +194,8 @@ def completed_sphere_blocks(r: int):
 
 def completed_sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution with every gap voxel filled in."""
-    return _joined(completed_sphere_blocks(r))
+    n = analysis.sphere_count_row(r).total
+    return circle._joined(_sphere_blocks(r, False, True, rows=n), n)
 
 
 def completed_sphere_count(r: int) -> int:

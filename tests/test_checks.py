@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxsphere import analysis, checks, circle, cli, solid, sphere
-from voxsphere.lattice import on_digital_circle
+from voxsphere.lattice import canonicalize, on_digital_circle
 
 # sha256 of the stdout of `verify --suite all --max-r 32`, recorded before
 # the checks compared sets as canonical arrays.
@@ -133,6 +133,82 @@ def test_broken_builder_fails_its_check(capsys, monkeypatch, module, name,
     rc, out = run_verify(capsys, suite, 8)
     assert rc == 1
     assert any(line.startswith(f"[FAIL] {suite}:{check} ") for line in out.splitlines())
+
+
+def _off_by_one(blocks_of, extra):
+    """blocks_of with its last block one row short, or one distinct row long."""
+    def broken(r, *args, **kwargs):
+        blocks = list(blocks_of(r, *args, **kwargs))
+        last = blocks[-1]
+        blocks[-1] = (np.concatenate([last, np.full((1, last.shape[1]), 10**6)]) if extra
+                      else last[:-1])
+        yield from blocks
+    return broken
+
+
+# (module, x-block generator, suite, check): a builder whose blocks disagree
+# with its exact count raises, and verify reports that check as failed
+COUNT_MISMATCHES = [
+    (sphere, "_upper", "sphere", "streamed-vs-materialized"),
+    (solid, "_solid_absentee_blocks", "solid", "streamed-vs-materialized"),
+    (solid, "completed_solid_blocks", "solid", "streamed-vs-materialized"),
+    (circle, "_disc_absentee_blocks", "disc", "cover-identity"),
+]
+
+
+@pytest.mark.parametrize("module, name, suite, check", COUNT_MISMATCHES)
+@pytest.mark.parametrize("extra", [False, True], ids=["short", "long"])
+def test_blocks_off_their_count_fail_verify(capsys, monkeypatch, module, name, suite,
+                                            check, extra):
+    monkeypatch.setattr(module, name, _off_by_one(getattr(module, name), extra))
+    rc, out = run_verify(capsys, suite, 8)
+    assert rc == 1
+    assert any(line.startswith(f"[FAIL] {suite}:{check} ") for line in out.splitlines())
+
+
+def _box(r):
+    n = r + 2
+    grid = np.arange(-n, n + 1)
+    return np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def test_membership_predicate_sweeps_each_box_once(monkeypatch):
+    """membership-predicate feeds each radius's box [-(r+2), r+2]^3 to the
+    predicate in slabs of at most 2^15 voxels, covering it exactly once."""
+    seen = {}
+    predicate = sphere.is_sphere_absentee_many
+
+    def spy(vox, r):
+        assert len(vox) <= 2**15
+        seen.setdefault(r, []).append(np.array(vox))
+        return predicate(vox, r)
+
+    monkeypatch.setattr(sphere, "is_sphere_absentee_many", spy)
+    assert all(c.passed for c in checks.check_sphere(16))
+    assert sorted(seen) == list(range(17))
+    assert len(seen[16]) > 1
+    for r, parts in seen.items():
+        swept = np.concatenate(parts)
+        box = _box(r)
+        assert len(swept) == len(box)
+        assert np.array_equal(canonicalize(swept), box)
+
+
+def test_membership_predicate_missing_the_last_slab_fails(monkeypatch):
+    predicate = sphere.is_sphere_absentee_many
+
+    def partial(vox, r):
+        """The predicate, blind to the last of several slabs of the box."""
+        got = predicate(vox, r)
+        n = r + 2
+        if vox[-1].tolist() == [n, n, n] and vox[0].tolist() != [-n, -n, -n]:
+            got[:] = False
+        return got
+
+    monkeypatch.setattr(sphere, "is_sphere_absentee_many", partial)
+    results = {c.name: c.passed for c in checks.check_sphere(16)}
+    assert not results.pop("membership-predicate")
+    assert all(results.values())
 
 
 def test_published_ratio_mismatch_listed_once(monkeypatch):

@@ -220,8 +220,8 @@ def test_generate_solid_cap(capsys):
 
 # ---------------------------------------------------------------- streaming
 
-STREAMED_SHAPES = ["solid-absentees", "solid-complete", "sphere", "sphere-absentees",
-                   "sphere-complete"]
+STREAMED_SHAPES = ["disc-absentees", "solid-absentees", "solid-complete", "sphere",
+                   "sphere-absentees", "sphere-complete"]
 
 
 def test_streamed_shapes():
