@@ -38,9 +38,9 @@ a radius are built by the step of the radius loop that reads them and
 dropped after it, so a run holds at most one radius's 3-D sets at a time,
 and membership-predicate hands its box to the predicate in slabs of
 _BOX_SLAB voxels.  A builder whose x-blocks disagree with its exact count
-raises ValueError (circle._joined); the checks that read its set report
-that as a failure (streamed-vs-materialized for the sphere and solid sets)
-rather than stopping the run.
+raises circle.CountMismatch; the checks that read its set report that as a
+failure (streamed-vs-materialized for the sphere and solid sets) rather
+than stopping the run.
 
 cover-identity grows the union of the circles by one ring per radius:
 u_r = canonicalize(u_(r-1) concatenated with C(r)) is C(0) | ... | C(r)
@@ -116,7 +116,7 @@ def _disc_absentees(memo: Memo, r: int) -> np.ndarray | None:
     disagree with their exact count."""
     try:
         return memo(circle.disc_absentees, r)
-    except ValueError:
+    except circle.CountMismatch:
         return None
 
 
@@ -225,7 +225,7 @@ def check_sphere(max_r: int, long: bool = False,
             break
         try:
             _check_sphere_radius(r, todo, ok, memo)
-        except ValueError:  # x-blocks that disagree with their exact count
+        except circle.CountMismatch:
             ok.update(dict.fromkeys(todo | {"materialized"}, False))
 
     results = [CheckResult(
@@ -348,7 +348,7 @@ def check_solid(max_r: int, long: bool = False,
                 ok["materialized"] = (av.shape[0] == solid.solid_absentee_count(r)
                                       and solid.completed_solid_voxels(r).shape[0]
                                       == solid.completed_solid_count(r))
-        except ValueError:  # x-blocks that disagree with their exact count
+        except circle.CountMismatch:
             ok.update(dict.fromkeys(todo | {"materialized"}, False))
             continue
         if "species" in todo:
@@ -401,7 +401,7 @@ def check_solid(max_r: int, long: bool = False,
         detail = (f"{solid.coverage_holes(r_hole).shape[0]} sealed voxels outside both "
                   f"species at r={r_hole} (expected: the species construction leaves "
                   "interior holes from r=7)")
-    except ValueError as exc:  # x-blocks that disagree with their exact count
+    except circle.CountMismatch as exc:
         detail = f"not computed at r={r_hole}: {exc}"
     results.append(CheckResult("solid", "coverage-holes", True, detail, gating=False))
 

@@ -125,12 +125,17 @@ def _plane(n: int, *gap: bool,
         yield [(box[k], q[k]) for k in keep]
 
 
+class CountMismatch(ValueError):
+    """An array builder's x-blocks hold fewer or more rows than the exact
+    closed count of its shape."""
+
+
 def _joined(blocks: Iterable[np.ndarray], rows: int) -> np.ndarray:
     """The concatenation of blocks, which must hold rows rows in all: a
     single block as it is, else one array of rows rows, allocated once and
     filled block by block as the blocks come, so no list of blocks is kept.
-    Raises ValueError when the blocks hold fewer or more rows than rows, so
-    no short or padded array is ever returned."""
+    Raises CountMismatch when the blocks hold fewer or more rows than rows,
+    so no short or padded array is ever returned."""
     blocks = iter(blocks)
     out = next(blocks)
     n = len(out)
@@ -145,7 +150,7 @@ def _joined(blocks: Iterable[np.ndarray], rows: int) -> np.ndarray:
         out[n:n + len(block)] = block
         n += len(block)
     if n != rows:
-        raise ValueError(f"the x-blocks hold {n} rows against an exact count of {rows}")
+        raise CountMismatch(f"the x-blocks hold {n} rows against an exact count of {rows}")
     return out
 
 

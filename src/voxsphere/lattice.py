@@ -90,13 +90,20 @@ def classify_many(x, y) -> tuple[np.ndarray, np.ndarray]:
     for c in (x, y):
         if c.size and (c.min() < -COORD_MAX or c.max() > COORD_MAX):
             raise ValueError(f"coordinates must lie in [-{COORD_MAX}, {COORD_MAX}]")
-    ax = np.abs(x)
-    ay = np.abs(y)
-    m = np.maximum(ax, ay)
-    n = np.minimum(ax, ay)
-    t = m * m + n * n
-    q = exact_isqrt_many(t + m)
-    absent = (q * q < t - m + 1) & (m > 0)
+    # m^2 + n^2 + m and m^2 + n^2 - m + 1 are formed in place in one array,
+    # n freed once read: the classified plane's slabs are the largest inputs,
+    # and these temporaries the peak of their working set
+    m = np.abs(x)
+    n = np.abs(y)
+    m, n = np.maximum(m, n), np.minimum(m, n)
+    t = m * m
+    t += n * n
+    del n
+    t += m  # m^2 + n^2 + m
+    q = exact_isqrt_many(t)
+    t -= 2 * m - 1  # m^2 + n^2 - m + 1
+    absent = q * q < t
+    absent &= m > 0
     return q, absent
 
 

@@ -15,8 +15,8 @@ import pytest
 from voxsphere import analysis, circle, solid, sphere
 
 # (builder, radius): each radius gives at least 3 x-blocks, and an output
-# large enough (21 to 41 MiB) that a block's own working set, at most about
-# 7 MiB with the classification of one _plane slab, fits in the bound.
+# large enough (21 to 41 MiB) that a block's own working set, up to about
+# 5 MiB with the classification of one _plane slab, fits in the bound.
 LARGE = [
     (sphere.sphere_voxels, 400),
     (sphere.sphere_absentees, 1700),
@@ -36,10 +36,9 @@ def _name(build):
 
 @pytest.mark.parametrize("build, r", LARGE, ids=[_name(b) for b, _ in LARGE])
 def test_builder_peaks_near_its_output(monkeypatch, build, r):
-    """The traced peak stays within 1.15 times the result plus 2 MiB.  A
-    list of the blocks and their concatenation, as the builders were before,
-    peak at about twice the result (measured: 1.06 to 1.12 times it plus
-    2 MiB now)."""
+    """The traced peak stays within 1.15 times the result plus 2 MiB
+    (measured: 1.02 to 1.10 times it plus 2 MiB).  A list of the blocks and
+    their concatenation peak at about twice the result."""
     blocks = []
     join = circle._joined
 
@@ -75,7 +74,7 @@ def test_joined_fills_one_array_of_exactly_the_count(sizes):
         assert out is blocks[0]  # a single block as it is
     for rows in (total - 1, total + 1):
         if rows >= 0:
-            with pytest.raises(ValueError, match="exact count"):
+            with pytest.raises(circle.CountMismatch, match="exact count"):
                 circle._joined(iter(blocks), rows)
 
 
@@ -97,7 +96,7 @@ def test_blocks_short_or_long_of_the_count_raise(monkeypatch, build, r, d):
     name = SOURCE.get(build.__name__, "sphere_count_row")
     count_row = getattr(analysis, name)
     monkeypatch.setattr(analysis, name, lambda r: SHIFTED_ROW[name](count_row(r), d))
-    with pytest.raises(ValueError, match="exact count"):
+    with pytest.raises(circle.CountMismatch, match="exact count"):
         build(r)
 
 
