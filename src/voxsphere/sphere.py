@@ -34,11 +34,11 @@ one slab at a time and yields it as an x-block, in ascending abscissa; as
 the blocks' abscissas are disjoint and ascending, their concatenation is
 canonical (io module docstring), each sort covers one block, and no more
 than one slab of the plane is held at once.  ``generate`` writes the blocks
-as they come.  The array builders copy them, as they come, into one array
-sized by the shape's exact closed count from analysis (circle._joined), and
-raise should the blocks hold fewer or more rows: the hemispheres too, each
-slab canonicalized on its own, so no builder keeps a list of its blocks or
-sorts the whole set again.  The upper hemisphere has (|sphere| + |C(r)|) / 2
+as they come.  The array builders copy them into one array sized by the
+shape's exact closed count from analysis (circle._joined), and raise should
+the blocks hold fewer or more rows: the hemispheres too, each slab
+canonicalized on its own, so no builder keeps a list of its blocks or sorts
+the whole set again.  The upper hemisphere has (|sphere| + |C(r)|) / 2
 voxels: the sphere is it and its mirror, which share only the equator ring
 C(r).
 """
