@@ -1,7 +1,7 @@
 """Digital circles and discs in the plane, and their absentee pixels.
 
 The squared-abscissa view drives everything: on the row y = k, the pixel
-(x, k) with x >= k lies on the digital circle of radius r exactly when
+(x, k) with 0 <= x <= k lies on the circle C(r), r >= 1, exactly when
 
     x^2  in  I(r, k) = [r^2 - k^2 - k, r^2 - k^2 + k)
 
@@ -40,9 +40,9 @@ from .lattice import (
 
 
 def run_interval(r: int, k: int) -> IntegerInterval:
-    """Squared abscissas of the row-k run of C(r) in the shallow octant (x <= k
-    is not required here; the interval itself encodes the x >= k part of the
-    circle, the steep part being its mirror)."""
+    """Squared abscissas of the row-k run of C(r) in the shallow octant: for
+    r >= 1 and 0 <= x <= k, (x, k) lies on C(r) exactly when x^2 is in it.
+    Not past the diagonal: (10, 1) lies on C(10), but 100 is not in [98, 100)."""
     c = r * r - k * k
     return IntegerInterval(c - k, c + k)
 

@@ -126,7 +126,8 @@ def stream(blocks: Iterable[np.ndarray], fmt: str, count: int | None = None) -> 
     blocks holds at least one array, all of one width, and is read one block
     at a time, so the chunks can go to a file while later blocks are still
     unbuilt.  The PLY header comes first and declares the vertex count, so
-    ply-ascii needs count, the total number of rows, up front.
+    ply-ascii needs count, the total number of rows, up front; rows that
+    differ from a given count raise ValueError after the last block.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
@@ -140,13 +141,17 @@ def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int | None) -> Iterat
     width = first.shape[1]
     yield _head(fmt, width, count).encode("ascii")
     sep = "," if fmt == "csv" else " "
+    rows = 0
     for pts in itertools.chain([first], blocks):
         pts = _as_points(pts)
         if pts.shape[1] != width:
             raise ValueError("blocks of different widths")
         if fmt == "ply-ascii" and width == 2:  # pixels at z = 0
             pts = np.hstack([pts, np.zeros((len(pts), 1), dtype=INT)])
+        rows += len(pts)
         yield from _ascii_rows(pts, sep)
+    if count is not None and rows != count:
+        raise ValueError(f"the blocks hold {rows} rows against a declared count of {count}")
 
 
 def emit(vox: np.ndarray, fmt: str) -> bytes:

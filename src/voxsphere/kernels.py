@@ -27,18 +27,21 @@ both t + m and t - m are nondecreasing in |x| (x^2 + j^2 +- j below the
 diagonal, x^2 +- |x| + j^2 from it on, equal on it), and the index is
 nondecreasing in them: a larger isqrt(t + m) raises it by at least one, an
 equal one leaves only the indicator, which t - m can only switch on.  Each
-row |j| <= r holds a pixel of C(r) (row_extents), so the pixels of index
-<= 2r on it are the |x| up to the last abscissa of C(r) there, xmax_j; a row
-|j| > r holds none, since (0, j) already has index 2|j|.  That is the
-column fill of D(r) (circle.disc_pixels), and
+row |j| <= r holds a pixel of C(r), so the pixels of index <= 2r on it are
+the |x| up to last_j, the end of its quadrant run first_j..last_j
+(row_extents); a row |j| > r holds none, since (0, j) already has index
+2|j|.  That is the column fill of D(r) (circle.disc_pixels).  The count rows
+sum over the runs the builders lift, in O(r) (j = 0..r, row 0 once): the
+generatrix pixel (q, j) sweeps the ring C(q), the plane y = +-j of the
+complete solid is D(last_j) (solid_totals), and
 
-    |D(r)| = 2r + 1 + 2 * sum_{j=1..r} (2 xmax_j + 1)
+    |D(r)| = 2 * sum_j (2 last_j + 1) - (2r + 1),
+    |hemisphere(r)| = sum_j (cpref[last_j + 1] - cpref[first_j]).
 
-counts it in O(r).  analysis._Tables derives dsz from the identity; a
-hollow count row reads it the other way round, as the gap total
-cnt[0..r-1].sum() = |D(r)| - csz[0..r].sum(), with no sweep at all
-(surface_totals).  Only the solid rows, which weight each cnt[w] and circ[w]
-separately, need gap_tallies.
+analysis._Tables derives dsz from the cover identity; a hollow count row
+reads it the other way round, as the gap total cnt[0..r-1].sum() = |D(r)| -
+csz[0..r].sum(), with no sweep at all (surface_totals).  Only the solid
+rows, which weight each cnt[w] and circ[w] separately, need gap_tallies.
 
 The counts work on octant rows: pairs (r, j) of a radius and a row j >= 1
 whose pixels (x, j) with 0 <= x <= j are counted and then multiplied out by
@@ -76,35 +79,21 @@ def _ceil_sqrt(a: np.ndarray) -> np.ndarray:
     return q + (q * q < a)
 
 
-def _row_spans(r: int):
-    """Per-row quantities of C(r) for j = 1..r: (lo, hi, steep_x, xmax).
-
-    lo/hi bound the shallow run (x <= j) in abscissa; steep_x is the single
-    steep abscissa or -1; xmax is the row maximum.
-    """
-    j = np.arange(1, r + 1, dtype=INT)
-    c = r * r - j * j  # >= 0, so c + j - 1 >= 0 and row j = r has x = 0
-    a = np.maximum(c - j, 0)
-    top, lo, x = exact_isqrt_many(np.concatenate([c + j - 1, a, c])).reshape(3, r)
-    hi = np.minimum(j, top)
-    lo += lo * lo < a  # ceil_sqrt(c - j)
-    # the x with x(x - 1) < c <= x(x + 1), from q = isqrt(c); 4c would
-    # overflow once r passes about 1.52e9
-    x += x * (x + 1) < c
-    steep = np.where(x > j, x, -1)
-    xmax = np.where(steep >= 0, steep, hi)
-    return lo, hi, steep, xmax
-
-
 def row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first, last) abscissas of C(r) on the rows j = 0..r.  Each quadrant
-    row of the circle is the contiguous run first..last: a steep pixel,
-    when present, directly follows the shallow run."""
+    """(first, last) abscissas of C(r) on the rows j = 0..r: quadrant row j
+    is the run first..last, the shallow x <= j with c - j <= x^2 < c + j
+    (c = r^2 - j^2), then the steep x > j, if any; row 0 is x = r alone."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    lo, hi, steep, xmax = _row_spans(r)
-    first = np.concatenate([[r], np.where(hi >= lo, lo, steep)])
-    return first, np.concatenate([[r], xmax])
+    j = np.arange(r + 1, dtype=INT)
+    c = r * r - j * j
+    sq = np.maximum(np.concatenate([c + j - 1, c - j, c]), 0)  # -1: C(0), row 0
+    top, lo, x = exact_isqrt_many(sq).reshape(3, r + 1)
+    lo += lo * lo < sq[r + 1:2 * r + 2]  # ceil_sqrt(c - j)
+    # x(x - 1) < c <= x(x + 1), from q = isqrt(c): 4c overflows past r ~ 1.52e9
+    x += x * (x + 1) < c
+    hi = np.minimum(j, top)
+    return np.where(hi >= lo, lo, x), np.where(x > j, x, hi)
 
 
 def using_numba() -> bool:
@@ -151,22 +140,18 @@ def circle_prefix(csz: np.ndarray) -> np.ndarray:
 
 
 def surface_totals(r: int, csz: np.ndarray, cpref: np.ndarray) -> tuple[int, int]:
-    """(|sphere(r)|, gap pixels of D(r)): the revolved ring sums with the
-    equator deduplicated, and |D(r)| less its circles (module docstring).
-    csz and cpref must cover radii 0..r."""
-    lo, hi, steep, xmax = _row_spans(r)
-    sel = hi >= lo
-    hemi = int((cpref[hi[sel] + 1] - cpref[lo[sel]]).sum())
-    hemi += int(csz[steep[steep >= 0]].sum())
-    hemi += int(csz[r])  # row j=0 contributes the equator ring only
-    disc = 2 * r + 1 + 2 * int((2 * xmax + 1).sum())
+    """(|sphere(r)|, gap pixels of D(r)), summed over the runs of
+    row_extents(r) (module docstring).  csz and cpref must cover 0..r."""
+    first, last = row_extents(r)
+    hemi = int((cpref[last + 1] - cpref[first]).sum())
+    disc = 2 * int((2 * last + 1).sum()) - (2 * r + 1)
     return 2 * hemi - int(csz[r]), disc - int(cpref[r + 1])
 
 
 def solid_totals(r: int, dsz: np.ndarray) -> int:
-    """|complete solid(r)| (per-plane filled-disc sums)."""
-    xmax = _row_spans(r)[3]
-    return int(dsz[r]) + 2 * int(dsz[xmax].sum())
+    """|complete solid(r)|: D(last_j) on each plane y = +-j (module docstring)."""
+    last = row_extents(r)[1]
+    return 2 * int(dsz[last].sum()) - int(dsz[r])
 
 
 def gap_tallies(wmax: int, csz: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -260,16 +260,18 @@ def loglog_slope(series) -> float:
 
 def oracle_size_tables(rmax: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(csz, dsz) for radii start..rmax, one radius at a time over all of its
-    rows j = 1..r: the table builder the blocked octant sweep replaced."""
-    from voxsphere.kernels import _row_spans
+    rows j = 1..r: the table builder the blocked octant sweep replaced.  The
+    quadrant rows j >= 1 of C(r), turned by quarter turns, tile C(r) less the
+    origin; D(r) is its columns |x| <= last_j, row 0 once."""
+    from voxsphere.kernels import row_extents
     from voxsphere.lattice import INT
 
     csz = np.ones(rmax + 1 - start, INT)  # C(0) and D(0) are the origin alone
     dsz = csz.copy()
     for r in range(max(start, 1), rmax + 1):
-        lo, hi, steep, xmax = _row_spans(r)
-        csz[r - start] = 4 * int((np.maximum(hi - lo + 1, 0) + (steep >= 0)).sum())
-        dsz[r - start] = (2 * r + 1) + 2 * int((2 * xmax + 1).sum())
+        first, last = row_extents(r)
+        csz[r - start] = 4 * int((last[1:] - first[1:] + 1).sum())
+        dsz[r - start] = 2 * int((2 * last + 1).sum()) - (2 * r + 1)
     return csz, dsz
 
 

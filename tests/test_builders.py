@@ -104,3 +104,28 @@ def test_blocks_short_or_long_of_the_count_raise(monkeypatch, build, r, d):
 def test_negative_radius_rejected(build):
     with pytest.raises(ValueError, match="non-negative"):
         build(-1)
+
+
+def test_union_holds_the_sum_of_the_sphere_counts():
+    """The completed spheres of radii 0..r are pairwise disjoint, so their
+    union holds the sum of their exact counts."""
+    for r in range(31):
+        total = sum(sphere.completed_sphere_count(s) for s in range(r + 1))
+        assert len(solid.union_completed_spheres(r)) == total, r
+
+
+@pytest.mark.parametrize("grow", [False, True], ids=["in-place", "appended"])
+def test_union_with_a_repeated_voxel_raises(monkeypatch, grow):
+    """A completed sphere that repeats one of its voxels, in place of its
+    last one or on top of its count, makes the union raise."""
+    build = solid.completed_sphere_voxels
+
+    def repeating(s):
+        vox = build(s)
+        if s != 3:
+            return vox
+        return np.concatenate([vox if grow else vox[:-1], vox[:1]])
+
+    monkeypatch.setattr(solid, "completed_sphere_voxels", repeating)
+    with pytest.raises(circle.CountMismatch):
+        solid.union_completed_spheres(5)

@@ -125,12 +125,22 @@ def test_disc_is_xy_symmetric():
 
 
 def test_run_interval_is_row_membership():
-    # for 0 <= x <= k the interval test is exactly circle membership
-    for r in range(1, 30):
-        for k in range(r + 1):
+    # for r >= 1 and 0 <= x <= k the interval test is exactly circle membership
+    for r in range(1, 60):
+        for k in range(r + 2):
             iv = run_interval(r, k)
             for x in range(k + 1):
-                assert (x * x in iv) == on_digital_circle(r, x, k)
+                assert (x * x in iv) == on_digital_circle(r, x, k), (r, x, k)
+
+
+def test_run_interval_holds_only_up_to_the_diagonal():
+    """Past the diagonal the interval is not membership: (10, 1) lies on
+    C(10), yet 100 is not in I(10, 1) = [98, 100); and r = 0 fails at the
+    origin itself."""
+    assert on_digital_circle(10, 10, 1)
+    assert (run_interval(10, 1).lo, run_interval(10, 1).hi) == (98, 100)
+    assert 100 not in run_interval(10, 1)
+    assert on_digital_circle(0, 0, 0) and 0 not in run_interval(0, 0)
 
 
 def test_absentee_interval_is_gap_membership():

@@ -267,6 +267,39 @@ def test_stream_of_one_array_is_emit():
         b"".join(vio.stream([pts, sphere.sphere_voxels(1)], "csv"))
 
 
+def test_stream_checks_the_count_it_is_given():
+    pts = circle.circle_pixels(5)
+    with pytest.raises(ValueError, match="declared count"):
+        b"".join(vio.stream([pts], "ply-ascii", len(pts) + 1))
+    for fmt in vio.FORMATS:
+        with pytest.raises(ValueError, match="declared count"):
+            b"".join(vio.stream([pts[:3], pts[3:]], fmt, len(pts) - 1))
+
+
+def test_generate_ply_with_rows_off_its_count_writes_nothing(monkeypatch, tmp_path):
+    """The upper hemisphere one row short: the PLY header declares 538
+    vertices, the blocks hold 536, so no file is written and an existing
+    one keeps its content."""
+    upper = sphere._upper
+
+    def short(*args, **kwargs):
+        blocks = list(upper(*args, **kwargs))
+        blocks[-1] = blocks[-1][:-1]
+        yield from blocks
+
+    monkeypatch.setattr(sphere, "_upper", short)
+    argv = ["generate", "sphere-complete", "-r", "7", "--format", "ply-ascii", "--out"]
+    with pytest.raises(ValueError, match="536 rows against a declared count of 538"):
+        cli.main(argv + [str(tmp_path / "new.ply")])
+    assert not list(tmp_path.iterdir())
+    old = tmp_path / "old.ply"
+    old.write_bytes(b"old content\n")
+    with pytest.raises(ValueError, match="declared count"):
+        cli.main(argv + [str(old)])
+    assert old.read_bytes() == b"old content\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.ply"]
+
+
 def _failing_chunks():
     yield b"0 0\n"
     raise RuntimeError("builder failed")
