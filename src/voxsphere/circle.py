@@ -13,13 +13,11 @@ J(w, k) is nonempty only for k <= w, and it can contain a perfect square
 only when 2k^2 - k >= w^2, so absentees cluster around the diagonal and
 never touch the axes.
 
-The plane is classified one slab of columns at a time (_plane), and the gap
-pixels of each slab are an x-block of disc_absentees: ``generate`` writes
-them as they come.  Every array builder of the package, here and in the
-sphere and solid modules, copies its x-blocks into one array sized by the
-shape's exact closed count (_joined), so it never holds a list of blocks
-and their concatenation at once; disc_absentees reads its count, the gap
-total |D(r)| less its circles, from the O(r) hollow count row.
+The disc comes in runs of columns (disc_blocks) and its gap pixels in the
+slabs of the classified plane (_plane): x-blocks that ``generate`` writes
+as they come, against the shape's exact closed count.  Every array builder
+of the package copies its x-blocks into one array of that count (_joined),
+never holding a list of blocks and their concatenation at once.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import analysis, io, kernels
+from .io import CountMismatch
 from .lattice import (
     INT,
     IntegerInterval,
@@ -76,23 +75,38 @@ def circle_pixels(r: int) -> np.ndarray:
     return out
 
 
+def circle_count(r: int) -> int:
+    """|circle_pixels(r)|: the closed circle size csz[r]."""
+    return int(kernels.size_tables(r, start=r)[0])
+
+
 def disc_pixels(r: int) -> np.ndarray:
     """All pixels of the digital disc of radius r: the circle C(r) together
     with its interior.  Row y = j spans every |x| up to the largest abscissa
     of C(r) on that row, so the disc also contains the gap pixels that lie
-    on no circle at all.
+    on no circle at all."""
+    return _joined(disc_blocks(r), disc_count(r))
 
-    The disc is symmetric under x <-> y, so it is filled column by column
-    instead (column x spans |y| <= the row maximum at |x|), which yields the
-    rows already in canonical order.
-    """
+
+def disc_blocks(r: int) -> Iterator[np.ndarray]:
+    """disc_pixels(r) as canonical x-blocks of about io._CHUNK_ROWS rows.
+    The disc is symmetric under x <-> y, so column x spans |y| <= the row
+    maximum at |x|, and filling column by column gives canonical order."""
     last = kernels.row_extents(r)[1]
     h = last[np.abs(np.arange(-r, r + 1))]
     n = 2 * h + 1
-    out = np.empty((int(n.sum()), 2), dtype=INT)
-    out[:, 0] = np.repeat(np.arange(-r, r + 1, dtype=INT), n)
-    out[:, 1] = runs(-h, n)
-    return out
+    axis = np.arange(-r, r + 1, dtype=INT)
+    for a, b in kernels._blocks(n, io._CHUNK_ROWS):
+        out = np.empty((int(n[a:b].sum()), 2), dtype=INT)
+        out[:, 0] = np.repeat(axis[a:b], n[a:b])
+        out[:, 1] = runs(-h[a:b], n[a:b])
+        yield out
+
+
+def disc_count(r: int) -> int:
+    """|disc_pixels(r)|: columns of 2 * last[|x|] + 1 pixels, x = -r..r."""
+    last = kernels.row_extents(r)[1]
+    return 2 * int((2 * last + 1).sum()) - (2 * r + 1)
 
 
 # box pixels classified per slab of _plane at most, which bounds its temporaries
@@ -123,11 +137,6 @@ def _plane(n: int, *gap: bool,
         inside = 2 * q + absent <= 2 * n
         keep = [inside & (absent == g) for g in gap]
         yield [(box[k], q[k]) for k in keep]
-
-
-class CountMismatch(ValueError):
-    """An array builder's x-blocks hold fewer or more rows than the exact
-    closed count of its shape."""
 
 
 def _joined(blocks: Iterable[np.ndarray], rows: int) -> np.ndarray:

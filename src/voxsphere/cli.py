@@ -2,14 +2,15 @@
 
 Subcommands:
 
-* ``generate`` -- materialize a shape and export it (canonical text, CSV,
-  or ASCII PLY).
+* ``generate`` -- export a shape (canonical text, CSV, or ASCII PLY), one
+  x-block at a time, checked against its exact closed count.
 * ``counts`` -- stream count-table rows (r, primitive, absentee, total,
   alpha) as CSV for a list or range of radii.
 * ``verify`` -- run the self-check suites and the published-table replays.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 materialization cap exceeded.
+3 materialization cap exceeded, 4 a shape's rows disagree with its exact
+count (a fault in a builder; an --out file is neither written nor changed).
 """
 
 from __future__ import annotations
@@ -20,38 +21,26 @@ import sys
 
 from . import analysis, checks, circle, io, solid, sphere
 
-# generate writes solid-absentees and solid-complete in x-blocks, so their
-# memory no longer grows with the cube of the radius; for them this cap
-# bounds time and output size (the completed solid at r = 1500 is 1.4e10
-# rows, over 1.5e11 bytes of text).  `solid`, the union, is still built as
-# one array.  Counts stream.  A hollow row costs O(r) and no sweep:
-# `counts --kind sphere --radii 100000` takes about 0.35 s, start-up
-# included.  The solid rows need the gap sweep, whose build is quadratic in
-# the largest radius: about 0.6 s to r = 10^4 and 45-50 s to r = 10^5 on a
-# 2-vCPU Xeon.  One cap serves both kinds: the largest radius whose solid
-# build time is measured.
+# generate writes every shape in x-blocks (the union `solid` is one array),
+# so for the solid species and the completed solid this cap bounds time and
+# output size: the completed solid at r = 1500 is 1.4e10 rows, over 1.5e11
+# bytes of text.  A hollow count row costs O(r); the solid rows need the gap
+# sweep, quadratic in the largest radius: about 0.6 s to r = 10^4 and
+# 45-50 s to r = 10^5 on a 2-vCPU Xeon, the cap of both kinds.
 SOLID_MATERIALIZE_CAP = 1500
 COUNT_RADIUS_CAP = 100_000
 
-GENERATORS = {
-    "circle": circle.circle_pixels,
-    "disc": circle.disc_pixels,
-    "disc-absentees": circle.disc_absentees,
-    "sphere": sphere.sphere_voxels,
-    "sphere-absentees": sphere.sphere_absentees,
-    "sphere-complete": sphere.completed_sphere_voxels,
-    "solid": solid.union_completed_spheres,
-    "solid-absentees": solid.solid_absentee_voxels,
-    "solid-complete": solid.completed_solid_voxels,
-}
 SOLID_SHAPES = {"solid", "solid-absentees", "solid-complete"}
-# Shapes that generate writes x-block by x-block: (canonical x-blocks,
-# exact row count for the PLY header).  The others go out as one array.
-STREAMED = {
+# Every shape generate exports: (canonical x-blocks, exact row count).  The
+# circle and the union of the completed spheres are one block each.
+SHAPES = {
+    "circle": (lambda r: [circle.circle_pixels(r)], circle.circle_count),
+    "disc": (circle.disc_blocks, circle.disc_count),
     "disc-absentees": (circle.disc_absentee_blocks, circle.disc_absentee_count),
     "sphere": (sphere.sphere_blocks, sphere.sphere_surface_count),
     "sphere-absentees": (sphere.sphere_absentee_blocks, sphere.sphere_absentee_count),
     "sphere-complete": (sphere.completed_sphere_blocks, sphere.completed_sphere_count),
+    "solid": (lambda r: [solid.union_completed_spheres(r)], solid.union_count),
     "solid-absentees": (solid.solid_absentee_blocks, solid.solid_absentee_count),
     "solid-complete": (solid.completed_solid_blocks, solid.completed_solid_count),
 }
@@ -93,14 +82,13 @@ def cmd_generate(args) -> int:
               "is capped; use the counts subcommand for large radii",
               file=sys.stderr)
         return 3
-    if args.shape in STREAMED:
-        blocks_of, count_of = STREAMED[args.shape]
-        blocks = blocks_of(args.radius)
-        count = count_of(args.radius) if args.format == "ply-ascii" else None
-    else:
-        vox = GENERATORS[args.shape](args.radius)
-        blocks, count = [vox], len(vox)
-    io.write_text(io.stream(blocks, args.format, count), args.out)
+    blocks_of, count_of = SHAPES[args.shape]
+    try:
+        io.write_text(io.stream(blocks_of(args.radius), args.format,
+                                count_of(args.radius)), args.out)
+    except io.CountMismatch as exc:
+        print(f"error: {args.shape} -r {args.radius}: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -141,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="export a pixel or voxel set")
-    g.add_argument("shape", choices=sorted(GENERATORS))
+    g.add_argument("shape", choices=sorted(SHAPES))
     g.add_argument("--radius", "-r", type=int, required=True)
     g.add_argument("--format", choices=io.FORMATS, default="canonical-text")
     g.add_argument("--out", default=None,

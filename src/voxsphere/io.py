@@ -10,24 +10,23 @@ Three formats, all ASCII and byte-deterministic for a given set:
   properties; pixel sets are embedded at z = 0 since PLY has no 2D form.
 
 ``stream`` yields an export as bytes chunks, from an iterable of point
-blocks that it reads one block at a time; ``emit`` joins the chunks of one
-array.  Rows are converted from int64 with numpy in fixed-size chunks; no
-Python object is made per row.  One pass per chunk counts each field's
-digits, by comparing its magnitude with the powers of ten up to the chunk's
-largest, writes the digits (in 32-bit arithmetic when every magnitude is
-below 10^9) and keeps each field's own columns through a mask looked up by
-digit count.
+blocks that it reads one block at a time, and checks their rows against an
+exact count in every format; ``emit`` joins the chunks of one array.  Rows
+are converted from int64 with numpy in fixed-size chunks; no Python object
+is made per row.  One pass per chunk counts each field's digits, by
+comparing its magnitude with the powers of ten up to the chunk's largest,
+writes the digits (in 32-bit arithmetic when every magnitude is below 10^9)
+and keeps each field's own columns through a mask looked up by digit count.
 
 Canonical blocks whose first coordinates fill disjoint, ascending ranges
 concatenate to a canonical array: every row of a block has a smaller first
 coordinate than any row of a later block, so rows of distinct blocks are in
-order and never equal.  So the sphere and solid builders yield such x-blocks,
-each sorted on its own, and ``generate``
-writes each block's chunks as it comes, holding neither the whole array
-nor its text.  File writes, of a string, of bytes or of such a chunk
-stream, go through a temporary file in the destination directory and an
-atomic rename, so a failed export never leaves a partial file behind and
-never touches an existing one.
+order and never equal.  So the builders yield such x-blocks, each sorted on
+its own, and ``generate`` writes each block's chunks as it comes, holding
+neither the whole array nor its text.  File writes, of a string, of bytes
+or of such a chunk stream, go through a temporary file in the destination
+directory and an atomic rename, so a failed export never leaves a partial
+file behind and never touches an existing one.
 """
 
 from __future__ import annotations
@@ -43,6 +42,11 @@ import numpy as np
 from .lattice import INT
 
 FORMATS = ("canonical-text", "csv", "ply-ascii")
+
+
+class CountMismatch(ValueError):
+    """Rows, of an export or of an array builder's x-blocks, that disagree
+    with the exact closed count of their shape."""
 
 
 def _as_points(vox: np.ndarray) -> np.ndarray:
@@ -105,7 +109,7 @@ def _ascii_rows(pts: np.ndarray, sep: str) -> Iterator[bytes]:
         yield grid[keep].tobytes()
 
 
-def _head(fmt: str, width: int, count: int | None) -> str:
+def _head(fmt: str, width: int, count: int) -> str:
     if fmt == "csv":
         return "i,j\n" if width == 2 else "i,j,k\n"
     if fmt != "ply-ascii":
@@ -119,24 +123,22 @@ def _head(fmt: str, width: int, count: int | None) -> str:
             "end_header\n")
 
 
-def stream(blocks: Iterable[np.ndarray], fmt: str, count: int | None = None) -> Iterator[bytes]:
+def stream(blocks: Iterable[np.ndarray], fmt: str, count: int) -> Iterator[bytes]:
     """The export of the concatenation of blocks, as byte chunks: the header,
     then every block's rows, _CHUNK_ROWS at a time.
 
     blocks holds at least one array, all of one width, and is read one block
     at a time, so the chunks can go to a file while later blocks are still
-    unbuilt.  The PLY header comes first and declares the vertex count, so
-    ply-ascii needs count, the total number of rows, up front; rows that
-    differ from a given count raise ValueError after the last block.
+    unbuilt.  count is the total number of rows, known up front: the PLY
+    header declares it, and in every format rows that differ from it raise
+    CountMismatch after the last block.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
-    if fmt == "ply-ascii" and count is None:
-        raise ValueError("ply-ascii needs the vertex count")
     return _stream(iter(blocks), fmt, count)
 
 
-def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int | None) -> Iterator[bytes]:
+def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int) -> Iterator[bytes]:
     first = _as_points(next(blocks))
     width = first.shape[1]
     yield _head(fmt, width, count).encode("ascii")
@@ -150,8 +152,8 @@ def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int | None) -> Iterat
             pts = np.hstack([pts, np.zeros((len(pts), 1), dtype=INT)])
         rows += len(pts)
         yield from _ascii_rows(pts, sep)
-    if count is not None and rows != count:
-        raise ValueError(f"the blocks hold {rows} rows against a declared count of {count}")
+    if rows != count:
+        raise CountMismatch(f"the blocks hold {rows} rows against a declared count of {count}")
 
 
 def emit(vox: np.ndarray, fmt: str) -> bytes:

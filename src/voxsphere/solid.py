@@ -42,7 +42,7 @@ of them.  The completed solid's blocks are runs of columns of its (x, j)
 matrix of z half-heights.  ``generate`` writes the blocks as they come; the
 array builders copy them into one array sized by the exact closed count
 (analysis.solid_count_row), as the sphere builders do; so does the union of
-the completed spheres, one whole sphere at a time.
+the completed spheres (union_count), one whole sphere at a time.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
-from .circle import (CountMismatch, _joined, _plane, disc_absentees, gap_band_index,
-                     iter_octant_absentees)
+from .circle import _joined, _plane, disc_absentees, gap_band_index, iter_octant_absentees
 from .sphere import _lift, _lift_runs, _ring_at, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
@@ -160,14 +159,19 @@ def union_completed_spheres(r: int) -> np.ndarray:
     """Union of the completed hollow spheres of radii 0..r: one array of the
     sum of their exact counts, filled as they come and sorted once, as they
     are disjoint (a pixel lies on one circle at most; gap_plane(s, w) rises
-    strictly in s).  Raises CountMismatch if the sort drops a row."""
+    strictly in s).  Raises io.CountMismatch if the sort drops a row."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    n = sum(analysis.sphere_count_row(s).total for s in range(r + 1))
+    n = union_count(r)
     union = canonicalize(_joined((completed_sphere_voxels(s) for s in range(r + 1)), n))
     if len(union) != n:
-        raise CountMismatch(f"the completed spheres share {n - len(union)} voxels")
+        raise io.CountMismatch(f"the completed spheres share {n - len(union)} voxels")
     return union
+
+
+def union_count(r: int) -> int:
+    """|union_completed_spheres(r)|: the spheres are disjoint, so their sum."""
+    return sum(analysis.sphere_count_row(s).total for s in range(r + 1))
 
 
 def completed_solid_voxels(r: int) -> np.ndarray:

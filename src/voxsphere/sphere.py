@@ -118,7 +118,7 @@ def hemisphere_voxels(r: int) -> np.ndarray:
     generatrix pixels of abscissa q are the column q of C(r), so every pixel
     of C(q) is lifted to that column's run of planes."""
     # the sphere is this and its mirror, which share only the equator ring C(r)
-    n = analysis.sphere_count_row(r).primitive + int(kernels.size_tables(r, start=r)[0])
+    n = analysis.sphere_count_row(r).primitive + circle.circle_count(r)
     return _hemisphere(r, False, n // 2)
 
 

@@ -26,6 +26,7 @@ LARGE = [
     (solid.solid_absentee_voxels, 150),
     (solid.completed_solid_voxels, 60),
     (circle.disc_absentees, 2900),
+    (circle.disc_pixels, 900),
 ]
 BUILDERS = [build for build, _ in LARGE]
 
@@ -78,24 +79,27 @@ def test_joined_fills_one_array_of_exactly_the_count(sizes):
                 circle._joined(iter(blocks), rows)
 
 
-# the count source of each builder, and a wrong row that moves its count
+# the count source of each builder, and a wrong count that moves its size
 # by at least one either way
-SHIFTED_ROW = {
+SHIFTED = {
     "sphere_count_row": lambda row, d: analysis.CountRow(
         row.r, row.primitive + 2 * d, row.absentee + 2 * d, row.total + 4 * d),
     "solid_count_row": lambda row, d: analysis.CountRow(
         row.r, row.primitive + d, row.absentee + d, row.total + 2 * d),
+    "disc_count": lambda n, d: n + d,
 }
-SOURCE = {"solid_absentee_voxels": "solid_count_row", "completed_solid_voxels": "solid_count_row"}
+SOURCE = {"solid_absentee_voxels": (analysis, "solid_count_row"),
+          "completed_solid_voxels": (analysis, "solid_count_row"),
+          "disc_pixels": (circle, "disc_count")}
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=_name)
 @pytest.mark.parametrize("r", [7, 60])
 @pytest.mark.parametrize("d", [-1, 1])
 def test_blocks_short_or_long_of_the_count_raise(monkeypatch, build, r, d):
-    name = SOURCE.get(build.__name__, "sphere_count_row")
-    count_row = getattr(analysis, name)
-    monkeypatch.setattr(analysis, name, lambda r: SHIFTED_ROW[name](count_row(r), d))
+    module, name = SOURCE.get(build.__name__, (analysis, "sphere_count_row"))
+    count = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda r: SHIFTED[name](count(r), d))
     with pytest.raises(circle.CountMismatch, match="exact count"):
         build(r)
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import parse_canonical_text
+from test_checks import _off_by_one
 from voxsphere import circle, cli, io as vio, solid, sphere
 from voxsphere.lattice import INT, canonicalize
 
@@ -220,28 +221,43 @@ def test_generate_solid_cap(capsys):
 
 # ---------------------------------------------------------------- streaming
 
-STREAMED_SHAPES = ["disc-absentees", "solid-absentees", "solid-complete", "sphere",
-                   "sphere-absentees", "sphere-complete"]
+SHAPES = ["circle", "disc", "disc-absentees", "solid", "solid-absentees", "solid-complete",
+          "sphere", "sphere-absentees", "sphere-complete"]
+# the array builder of each shape, whose result generate exports
+ARRAYS = {
+    "circle": circle.circle_pixels,
+    "disc": circle.disc_pixels,
+    "disc-absentees": circle.disc_absentees,
+    "sphere": sphere.sphere_voxels,
+    "sphere-absentees": sphere.sphere_absentees,
+    "sphere-complete": sphere.completed_sphere_voxels,
+    "solid": solid.union_completed_spheres,
+    "solid-absentees": solid.solid_absentee_voxels,
+    "solid-complete": solid.completed_solid_voxels,
+}
 
 
 def test_streamed_shapes():
-    assert sorted(cli.STREAMED) == STREAMED_SHAPES
+    """generate has one table: every shape streams against its count."""
+    assert sorted(cli.SHAPES) == sorted(ARRAYS) == SHAPES
 
 
-@pytest.mark.parametrize("shape", STREAMED_SHAPES)
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("fmt", vio.FORMATS)
 @pytest.mark.parametrize("r", [0, 1, 2, 7, 13, 40])
 def test_stream_matches_array_bytes(monkeypatch, shape, fmt, r):
     """With a row target of 1/64 of the set (16 rows at least) the x-blocks
-    split: the blocks are canonical, x-disjoint and ascending, their
-    concatenation is the array the builder returns at the default target,
-    and the streamed export is that array's export."""
-    whole = cli.GENERATORS[shape](r)
-    blocks_of, count_of = cli.STREAMED[shape]
+    split, except for the circle and the union, which are one block: the
+    blocks are canonical, x-disjoint and ascending, their concatenation is
+    the array the builder returns at the default target, and the streamed
+    export is that array's export."""
+    whole = ARRAYS[shape](r)
+    blocks_of, count_of = cli.SHAPES[shape]
     target = max(16, len(whole) // 64)
     monkeypatch.setattr(vio, "_CHUNK_ROWS", target)
     blocks = list(blocks_of(r))
-    assert len(blocks) > 1 or len(whole) <= 2 * target
+    assert (len(blocks) > 1 or len(whole) <= 2 * target
+            or shape in ("circle", "solid"))
     for block in blocks:
         assert np.array_equal(block, canonicalize(block))
     xs = [(b[0, 0], b[-1, 0]) for b in blocks if len(b)]
@@ -255,49 +271,52 @@ def test_stream_matches_array_bytes(monkeypatch, shape, fmt, r):
         assert f"element vertex {rows}\n".encode() in head
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_count_is_its_array_size(shape):
+    """The count generate checks a shape's rows against is the size of the
+    shape's array."""
+    count_of = cli.SHAPES[shape][1]
+    for r in range(26):
+        assert count_of(r) == len(ARRAYS[shape](r)), r
+
+
 def test_stream_of_one_array_is_emit():
     pts = circle.circle_pixels(5)
     for fmt in vio.FORMATS:
         assert b"".join(vio.stream([pts], fmt, len(pts))) == vio.emit(pts, fmt)
-    with pytest.raises(ValueError, match="vertex count"):
-        vio.stream([pts], "ply-ascii")
     with pytest.raises(ValueError, match="unknown format"):
-        vio.stream([pts], "json")
+        vio.stream([pts], "json", len(pts))
     with pytest.raises(ValueError, match="widths"):
-        b"".join(vio.stream([pts, sphere.sphere_voxels(1)], "csv"))
+        b"".join(vio.stream([pts, sphere.sphere_voxels(1)], "csv", len(pts) + 6))
 
 
 def test_stream_checks_the_count_it_is_given():
     pts = circle.circle_pixels(5)
-    with pytest.raises(ValueError, match="declared count"):
+    with pytest.raises(vio.CountMismatch, match="declared count"):
         b"".join(vio.stream([pts], "ply-ascii", len(pts) + 1))
     for fmt in vio.FORMATS:
-        with pytest.raises(ValueError, match="declared count"):
+        with pytest.raises(vio.CountMismatch, match="declared count"):
             b"".join(vio.stream([pts[:3], pts[3:]], fmt, len(pts) - 1))
 
 
-def test_generate_ply_with_rows_off_its_count_writes_nothing(monkeypatch, tmp_path):
-    """The upper hemisphere one row short: the PLY header declares 538
-    vertices, the blocks hold 536, so no file is written and an existing
-    one keeps its content."""
-    upper = sphere._upper
-
-    def short(*args, **kwargs):
-        blocks = list(upper(*args, **kwargs))
-        blocks[-1] = blocks[-1][:-1]
-        yield from blocks
-
-    monkeypatch.setattr(sphere, "_upper", short)
-    argv = ["generate", "sphere-complete", "-r", "7", "--format", "ply-ascii", "--out"]
-    with pytest.raises(ValueError, match="536 rows against a declared count of 538"):
-        cli.main(argv + [str(tmp_path / "new.ply")])
-    assert not list(tmp_path.iterdir())
-    old = tmp_path / "old.ply"
-    old.write_bytes(b"old content\n")
-    with pytest.raises(ValueError, match="declared count"):
-        cli.main(argv + [str(old)])
-    assert old.read_bytes() == b"old content\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["old.ply"]
+@pytest.mark.parametrize("fmt", vio.FORMATS)
+@pytest.mark.parametrize("extra", [False, True], ids=["short", "long"])
+def test_generate_with_rows_off_its_count_exits_4(monkeypatch, capsys, tmp_path, fmt, extra):
+    """A builder fault, in every format: the rows of sphere-complete -r 7
+    are checked against its exact count, 538, so the export exits 4 with one
+    error line and no traceback, writes no file and leaves an existing one
+    as it was."""
+    monkeypatch.setattr(sphere, "_upper", _off_by_one(sphere._upper, extra))
+    argv = ["generate", "sphere-complete", "-r", "7", "--format", fmt, "--out"]
+    rows = 540 if extra else 536  # the extra row is mirrored below the equator
+    (tmp_path / "old").write_bytes(b"old content\n")
+    for out in (tmp_path / "new", tmp_path / "old"):
+        rc, stdout, err = run_cli(capsys, *argv, str(out))
+        assert rc == 4 and stdout == ""
+        assert err == (f"error: sphere-complete -r 7: the blocks hold {rows} rows "
+                       "against a declared count of 538\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["old"]
+    assert (tmp_path / "old").read_bytes() == b"old content\n"
 
 
 def _failing_chunks():
@@ -546,7 +565,7 @@ def test_generate_bytes_frozen_at_benchmark_size(tmp_path, shape, fmt, r, digest
 
 
 def test_frozen_table_covers_every_shape_and_format():
-    assert set(FROZEN_SHA256) == {(s, f, r) for s in cli.GENERATORS
+    assert set(FROZEN_SHA256) == {(s, f, r) for s in cli.SHAPES
                                   for f in vio.FORMATS for r in FROZEN_RADII}
 
 
@@ -642,7 +661,7 @@ def test_out_into_missing_directory(capsys, monkeypatch, tmp_path, argv):
     def no_work(*_):
         raise AssertionError("work started")
 
-    monkeypatch.setitem(cli.GENERATORS, "circle", no_work)
+    monkeypatch.setitem(cli.SHAPES, "circle", (no_work, no_work))
     monkeypatch.setattr(cli.analysis, "sphere_table", no_work)
     monkeypatch.chdir(tmp_path)  # the empty path resolves here
     (tmp_path / "file").write_text("")
