@@ -13,11 +13,14 @@ J(w, k) is nonempty only for k <= w, and it can contain a perfect square
 only when 2k^2 - k >= w^2, so absentees cluster around the diagonal and
 never touch the axes.
 
-The disc comes in runs of columns (disc_blocks) and its gap pixels in the
-slabs of the classified plane (_plane): x-blocks that ``generate`` writes
-as they come, against the shape's exact closed count.  Every array builder
-of the package copies its x-blocks into one array of that count (_joined),
-never holding a list of blocks and their concatenation at once.
+The disc is filled column by column (disc_blocks), and the classified plane
+(_plane) is that fill with each pixel's shell index, one slab of columns at
+a time: the disc's gap pixels are its odd-index pixels, and every 3-D
+shape built from the plane lifts its slabs (sphere module docstring).  All
+are x-blocks that ``generate`` writes as they come, against the shape's
+exact closed count.  Every array builder of the package copies its
+x-blocks into one array of that count (_joined), never holding a list of
+blocks and their concatenation at once.
 """
 
 from __future__ import annotations
@@ -56,23 +59,27 @@ def circle_pixels(r: int) -> np.ndarray:
 
     The circle is symmetric under x <-> y, so column x holds exactly the
     |y| in first[|x|]..last[|x|] of the row extents.  Filling column by
-    column, the run below the axis and then the run above it (one merged
-    run when it starts on the axis), yields the rows already in canonical
-    order with no sort.
+    column yields the rows already in canonical order with no sort.
     """
     first, last = kernels.row_extents(r)
     ax = np.abs(np.arange(-r, r + 1))
-    f, h = first[ax], last[ax]
-    on_axis = f == 0  # -h..0, then 1..h: the axis pixel once
-    start = np.empty(2 * ax.size, dtype=INT)
-    count = np.empty(2 * ax.size, dtype=INT)
-    start[0::2], start[1::2] = -h, f + on_axis
-    count[0::2] = h - f + 1
-    count[1::2] = count[0::2] - on_axis
-    out = np.empty((int(count.sum()), 2), dtype=INT)
-    out[:, 0] = np.repeat(np.arange(-r, r + 1, dtype=INT), count[0::2] + count[1::2])
-    out[:, 1] = runs(start, count)
+    n, y = _mirrored_runs(first[ax], last[ax])
+    out = np.empty((len(y), 2), dtype=INT)
+    out[:, 0] = np.repeat(np.arange(-r, r + 1, dtype=INT), n)
+    out[:, 1] = y
     return out
+
+
+def _mirrored_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, y): y concatenates, for each i, the n[i] values with lo[i] <=
+    |y| <= hi[i] in ascending order, 0 once (one merged run)."""
+    zero = lo == 0
+    start = np.empty(2 * lo.size, dtype=INT)
+    count = np.empty(2 * lo.size, dtype=INT)
+    start[0::2], start[1::2] = -hi, lo + zero
+    count[0::2] = hi - lo + 1
+    count[1::2] = count[0::2] - zero
+    return count[0::2] + count[1::2], runs(start, count)
 
 
 def circle_count(r: int) -> int:
@@ -89,54 +96,56 @@ def disc_pixels(r: int) -> np.ndarray:
 
 
 def disc_blocks(r: int) -> Iterator[np.ndarray]:
-    """disc_pixels(r) as canonical x-blocks of about io._CHUNK_ROWS rows.
-    The disc is symmetric under x <-> y, so column x spans |y| <= the row
-    maximum at |x|, and filling column by column gives canonical order."""
-    last = kernels.row_extents(r)[1]
-    h = last[np.abs(np.arange(-r, r + 1))]
-    n = 2 * h + 1
+    """disc_pixels(r) as canonical x-blocks of about io._CHUNK_ROWS rows."""
+    axis, h = _disc_columns(r)
+    for a, b in kernels._blocks(2 * h + 1, io._CHUNK_ROWS):
+        yield np.stack(_columns(axis[a:b], h[a:b]), axis=1)
+
+
+def _disc_columns(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, h): the columns x = -r..r of D(r) and their half-heights.  The
+    disc is symmetric under x <-> y, so column x spans |y| <= last[|x|]."""
     axis = np.arange(-r, r + 1, dtype=INT)
-    for a, b in kernels._blocks(n, io._CHUNK_ROWS):
-        out = np.empty((int(n[a:b].sum()), 2), dtype=INT)
-        out[:, 0] = np.repeat(axis[a:b], n[a:b])
-        out[:, 1] = runs(-h[a:b], n[a:b])
-        yield out
+    return axis, kernels.row_extents(r)[1][np.abs(axis)]
+
+
+def _columns(axis: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the pixels |y| <= h of the columns x of axis, filled column
+    by column, so in canonical order."""
+    n = 2 * h + 1
+    return np.repeat(axis, n), runs(-h, n)
 
 
 def disc_count(r: int) -> int:
     """|disc_pixels(r)|: columns of 2 * last[|x|] + 1 pixels, x = -r..r."""
-    last = kernels.row_extents(r)[1]
-    return 2 * int((2 * last + 1).sum()) - (2 * r + 1)
+    return int((2 * _disc_columns(r)[1] + 1).sum())
 
 
-# box pixels classified per slab of _plane at most, which bounds its temporaries
+# box pixels spanned per slab of _plane at most, which bounds its temporaries
 _SLAB_PIXELS = 1 << 16
 
 
-def _plane(n: int, *gap: bool,
-           rows: int | None = None) -> Iterator[list[tuple[np.ndarray, np.ndarray]]]:
-    """The pixels of the box [-n, n]^2 with shell index s <= 2n, each with
-    its radius or witness q = s // 2: s is 2q on the circle C(q) and 2q + 1
-    in the gap of witness q.  Yields the box one slab of columns at a time,
-    in ascending abscissa, as one (pixels, q) pair per flag in gap, pixels
-    in canonical order: True keeps the gap pixels of witness q <= n - 1,
-    which are the absentees of D(n); False keeps the pixels of C(0), ...,
-    C(n).  A slab holds at most _SLAB_PIXELS box pixels and, given rows,
-    the size of the shape lifted from the plane, no more columns than lift
-    to io._CHUNK_ROWS rows on average."""
+def _plane(n: int, rows: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pixels of D(n), which are the pixels of shell index s <= 2n
+    (kernels module docstring), each with s: 2q on the circle C(q), 2w + 1
+    in the gap of witness w.  Yields them as (pixels, s), pixels in
+    canonical order, one slab of columns at a time, in ascending abscissa.
+    A slab spans at most _SLAB_PIXELS box pixels and, given rows, the size
+    of the shape lifted from the plane, no more columns than lift to
+    io._CHUNK_ROWS rows on average."""
     if n < 0:
         raise ValueError("radius must be non-negative")
-    axis = np.arange(-n, n + 1, dtype=INT)
+    axis, h = _disc_columns(n)
     width = _SLAB_PIXELS // axis.size
     if rows:
         width = min(width, axis.size * io._CHUNK_ROWS // rows)
     width = max(width, 1)
     for a in range(0, axis.size, width):
-        box = np.stack(np.meshgrid(axis[a:a + width], axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        q, absent = classify_many(box[:, 0], box[:, 1])
-        inside = 2 * q + absent <= 2 * n
-        keep = [inside & (absent == g) for g in gap]
-        yield [(box[k], q[k]) for k in keep]
+        x, y = _columns(axis[a:a + width], h[a:a + width])
+        s, absent = classify_many(x, y)
+        s *= 2
+        s += absent
+        yield np.stack([x, y], axis=1), s
 
 
 def _joined(blocks: Iterable[np.ndarray], rows: int) -> np.ndarray:
@@ -197,9 +206,9 @@ def disc_absentee_blocks(r: int) -> Iterator[np.ndarray]:
 
 def _disc_absentee_blocks(r: int, rows: int) -> Iterator[np.ndarray]:
     """disc_absentee_blocks(r), given its exact row count, which sets the
-    slab width: the gap pixels of each slab of _plane(r, True)."""
-    for [(pix, _)] in _plane(r, True, rows=rows):
-        yield pix
+    slab width: the gap pixels, of odd index, of each slab of _plane(r)."""
+    for pix, s in _plane(r, rows=rows):
+        yield pix[(s & 1).astype(bool)]
 
 
 def disc_absentee_count(r: int) -> int:

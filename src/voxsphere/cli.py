@@ -21,18 +21,17 @@ import sys
 
 from . import analysis, checks, circle, io, solid, sphere
 
-# generate writes every shape in x-blocks (the union `solid` is one array),
-# so for the solid species and the completed solid this cap bounds time and
-# output size: the completed solid at r = 1500 is 1.4e10 rows, over 1.5e11
-# bytes of text.  A hollow count row costs O(r); the solid rows need the gap
-# sweep, quadratic in the largest radius: about 0.6 s to r = 10^4 and
-# 45-50 s to r = 10^5 on a 2-vCPU Xeon, the cap of both kinds.
+# generate streams every shape in x-blocks, so for the three solid shapes
+# this cap bounds time and output size, not memory: the completed solid at
+# r = 1500 is 1.4e10 rows, over 1.5e11 bytes of text.  The solid count rows
+# need the gap sweep, quadratic in the largest radius: about 0.6 s to
+# r = 10^4 and 45-50 s to r = 10^5 on a 2-vCPU Xeon, the cap of both kinds.
 SOLID_MATERIALIZE_CAP = 1500
 COUNT_RADIUS_CAP = 100_000
 
 SOLID_SHAPES = {"solid", "solid-absentees", "solid-complete"}
 # Every shape generate exports: (canonical x-blocks, exact row count).  The
-# circle and the union of the completed spheres are one block each.
+# circle is one block.
 SHAPES = {
     "circle": (lambda r: [circle.circle_pixels(r)], circle.circle_count),
     "disc": (circle.disc_blocks, circle.disc_count),
@@ -40,7 +39,7 @@ SHAPES = {
     "sphere": (sphere.sphere_blocks, sphere.sphere_surface_count),
     "sphere-absentees": (sphere.sphere_absentee_blocks, sphere.sphere_absentee_count),
     "sphere-complete": (sphere.completed_sphere_blocks, sphere.completed_sphere_count),
-    "solid": (lambda r: [solid.union_completed_spheres(r)], solid.union_count),
+    "solid": (solid.union_blocks, solid.union_count),
     "solid-absentees": (solid.solid_absentee_blocks, solid.solid_absentee_count),
     "solid-complete": (solid.completed_solid_blocks, solid.completed_solid_count),
 }

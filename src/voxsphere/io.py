@@ -131,7 +131,8 @@ def stream(blocks: Iterable[np.ndarray], fmt: str, count: int) -> Iterator[bytes
     at a time, so the chunks can go to a file while later blocks are still
     unbuilt.  count is the total number of rows, known up front: the PLY
     header declares it, and in every format rows that differ from it raise
-    CountMismatch after the last block.
+    CountMismatch: a block that would take the rows past it before any of
+    its rows is written, and a short total after the last block.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
@@ -148,9 +149,12 @@ def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int) -> Iterator[byte
         pts = _as_points(pts)
         if pts.shape[1] != width:
             raise ValueError("blocks of different widths")
+        rows += len(pts)
+        if rows > count:  # refused before any of its rows is written
+            raise CountMismatch(f"the blocks hold at least {rows} rows against a declared "
+                                f"count of {count}")
         if fmt == "ply-ascii" and width == 2:  # pixels at z = 0
             pts = np.hstack([pts, np.zeros((len(pts), 1), dtype=INT)])
-        rows += len(pts)
         yield from _ascii_rows(pts, sep)
     if rows != count:
         raise CountMismatch(f"the blocks hold {rows} rows against a declared count of {count}")

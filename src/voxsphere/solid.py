@@ -30,19 +30,16 @@ The completed solid also holds voxels that no completed hollow sphere and
 neither absentee species covers: 16 at r = 7, e.g. (2, 5, 4), and 872 at
 r = 20.  The tabulated solid absentee counts leave them out.
 
-The species and the completed solid are built as x-blocks, like the hollow
-spheres: a line voxel keeps the abscissa of its gap pixel, a circle voxel
-that of its ring pixel, and a completed-solid voxel that of its (x, j)
-column, so each block of abscissas is built (and the species sorted) on its
-own, and the blocks, disjoint and ascending in x, concatenate to the
-canonical set.  The species blocks are the slabs of circle._plane, as for
-the hollow spheres; only the cross-section's gap pixels, about 0.31 r^2 of
-them, are held whole, since a ring of radius s takes the planes of column s
-of them.  The completed solid's blocks are runs of columns of its (x, j)
-matrix of z half-heights.  ``generate`` writes the blocks as they come; the
-array builders copy them into one array sized by the exact closed count
-(analysis.solid_count_row), as the sphere builders do; so does the union of
-the completed spheres (union_count), one whole sphere at a time.
+The species and the union of the completed spheres are lifted from
+circle._plane like the hollow spheres (sphere module docstring), each by
+its profile: in the species', a ring pixel of radius q takes the planes y
+of the cross-section's gap pixels (q, y) (the circles) and a gap pixel of
+witness w the planes |y| <= isqrt(w) (the line); in the union's, the union
+of the completed spheres' profiles, a ring pixel of radius q takes the
+planes y of the ring pixels (q, y) of D(r) and a gap pixel of witness w
+the planes +-gap_plane(s, w), w < s <= r.  The completed solid's x-blocks
+are runs of columns of its (x, j) matrix of z half-heights.  The array
+builders copy the blocks into one array of the exact closed count.
 """
 
 from __future__ import annotations
@@ -50,11 +47,11 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
-from .circle import _joined, _plane, disc_absentees, gap_band_index, iter_octant_absentees
-from .sphere import _lift, _lift_runs, _ring_at, completed_sphere_voxels
+from .circle import _joined, disc_absentees, gap_band_index, iter_octant_absentees
+from .sphere import _lift, _lifted, _profile, completed_sphere_voxels
 from .analysis import enumerated_disc_absentee_count, solid_count_row, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
-from . import analysis, io, kernels
+from . import analysis, circle, io, kernels
 
 
 def absentee_line_voxels(a: int, b: int, w: int) -> np.ndarray:
@@ -89,7 +86,8 @@ def absentee_circle_voxels(s: int, j: int) -> np.ndarray:
     _, absent = classify_pixel(s, j)
     if not absent:
         raise ValueError(f"({s}, {j}) lies on a digital circle")
-    return canonicalize(np.concatenate([_ring_at(s, j), _ring_at(s, -j)]))
+    ring = circle.circle_pixels(s)
+    return canonicalize(_lift(np.concatenate([ring, ring]), np.repeat([j, -j], len(ring))))
 
 
 def solid_absentee_voxels(r: int) -> np.ndarray:
@@ -120,17 +118,18 @@ def solid_absentee_blocks(r: int):
 
 def _solid_absentee_blocks(r: int, rows: int):
     """solid_absentee_blocks(r), given its exact row count, which sets the
-    slab width."""
+    slab width: the lift of the species' profile (module docstring)."""
     gaps = disc_absentees(r)  # the cross-section's gap pixels, canonical
-    # each gap pixel (s, j) of the cross-section carries the ring C(s) in
-    # the plane y = j: a ring pixel of radius s takes the planes of column
-    # s of gaps, gaps[cut[s]:cut[s + 1]] (none for s = 0)
-    cut = np.searchsorted(gaps[:, 0], np.arange(r + 2))
-    for (pix, s), (g, w) in _plane(r, False, True, rows=rows):
-        h = exact_isqrt_many(w)
-        circles = _lift_runs(pix, cut[s], cut[s + 1] - cut[s])
-        circles[:, 1] = gaps[circles[:, 1], 1]
-        yield canonicalize(np.concatenate([_lift_runs(g, -h, 2 * h + 1), circles]))
+    w = np.arange(r, dtype=INT)
+    h = exact_isqrt_many(w)
+    lines = np.stack([np.repeat(2 * w + 1, 2 * h + 1), runs(-h, 2 * h + 1)], axis=1)
+    yield from _lifted(r, _merged(gaps[gaps[:, 0] >= 0] * [2, 1], lines), rows)
+
+
+def _merged(*profiles: np.ndarray) -> np.ndarray:
+    """The rows of profiles together, ascending in s (sphere._lifted)."""
+    rows = np.concatenate(profiles)
+    return rows[np.argsort(rows[:, 0], kind="stable")]
 
 
 def solid_absentee_count(r: int) -> int:
@@ -156,17 +155,18 @@ def absentee_circle_count(r: int) -> int:
 
 
 def union_completed_spheres(r: int) -> np.ndarray:
-    """Union of the completed hollow spheres of radii 0..r: one array of the
-    sum of their exact counts, filled as they come and sorted once, as they
-    are disjoint (a pixel lies on one circle at most; gap_plane(s, w) rises
-    strictly in s).  Raises io.CountMismatch if the sort drops a row."""
+    """Union of the completed hollow spheres of radii 0..r."""
+    return _joined(union_blocks(r), union_count(r))
+
+
+def union_blocks(r: int):
+    """union_completed_spheres(r) as canonical x-blocks, in ascending
+    abscissa: the lift of the union's profile (module docstring).  The
+    spheres are disjoint (a pixel lies on one circle at most; gap_plane(s,
+    w) rises strictly in s), so no row of the profile repeats."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    n = union_count(r)
-    union = canonicalize(_joined((completed_sphere_voxels(s) for s in range(r + 1)), n))
-    if len(union) != n:
-        raise io.CountMismatch(f"the completed spheres share {n - len(union)} voxels")
-    return union
+    yield from _lifted(r, _merged(*(_profile(s) for s in range(r + 1))), union_count(r))
 
 
 def union_count(r: int) -> int:

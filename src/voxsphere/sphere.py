@@ -14,9 +14,7 @@ circle, so (x, z) on C(q') forces q' = q.  C(r) is symmetric under x <-> y,
 so (q, j) lies on it exactly when (j, q) does, that is when first[q] <= j
 <= last[q] for the row extents of C(r) (kernels.row_extents): the planes of
 the ring C(q) are the column q of C(r), one run, nonempty for every q <= r
-because every row of C(r) holds a pixel.  So one lift builds the
-hemisphere: each pixel of C(0), ..., C(r) with radius q goes to the planes
-first[q]..last[q].
+because every row of C(r) holds a pixel.
 
 Gap pixels of the plane (strictly between consecutive digital circles) lift
 to gap voxels of the sphere.  A gap pixel (i, k) with witness w belongs to
@@ -25,22 +23,21 @@ the sphere of radius r at exactly one plane: the j whose run interval
 squared radii, making the plane unique, always >= 1 (so the equator never
 carries gap voxels), and mirror-symmetric between hemispheres.
 
-Every lift keeps the abscissa of its pixel, so the voxels of abscissas
-x0..x1 are the lift of the plane's pixels in those columns.  circle._plane
-classifies the box one slab of columns at a time; given the shape's exact
-closed count, it keeps each slab narrow enough to lift to about
-io._CHUNK_ROWS voxels.  Each builder lifts, mirrors and canonicalizes
-one slab at a time and yields it as an x-block, in ascending abscissa; as
-the blocks' abscissas are disjoint and ascending, their concatenation is
-canonical (io module docstring), each sort covers one block, and no more
-than one slab of the plane is held at once.  ``generate`` writes the blocks
-as they come.  The array builders copy them into one array sized by the
-shape's exact closed count from analysis (circle._joined), and raise should
-the blocks hold fewer or more rows: the hemispheres too, each slab
-canonicalized on its own, so no builder keeps a list of its blocks or sorts
-the whole set again.  The upper hemisphere has (|sphere| + |C(r)|) / 2
-voxels: the sphere is it and its mirror, which share only the equator ring
-C(r).
+So a pixel's planes depend only on its shell index s (2q on C(q), 2w + 1
+in the gap of witness w; circle._plane): a shape built from the plane is
+its profile, the rows (s, y), ascending in s, that give a pixel of index s
+the plane y.  The completed sphere's (_profile) is column q of C(r) at
+s = 2q and +-gap_plane(r, w) at s = 2w + 1; the sphere keeps its even
+rows, the absentees the odd ones, the hemispheres those with y >= 0 (the
+solid's profiles: solid module docstring).  One lift (_lifted) repeats each
+pixel of a slab of circle._plane over its rows and canonicalizes the slab
+as an x-block; the blocks, disjoint and ascending in x, concatenate to the
+canonical set (io module docstring), and ``generate`` writes them as they
+come.  Given the shape's exact closed count from analysis, a slab lifts to
+about io._CHUNK_ROWS voxels; the array builders copy the blocks into one
+array of that count (circle._joined) and raise should they hold fewer or
+more rows.  The upper hemisphere has (|sphere| + |C(r)|) / 2 voxels: it and
+its mirror share only the equator ring C(r).
 """
 
 from __future__ import annotations
@@ -61,76 +58,65 @@ def generatrix(r: int) -> np.ndarray:
     return np.stack([runs(first, n), np.repeat(np.arange(r, -1, -1, dtype=INT), n)], axis=1)
 
 
-def _lift(pix: np.ndarray, j) -> np.ndarray:
-    """Pixels (x, z) placed in the plane y = j as voxels (x, j, z); j is one
-    plane or one plane per pixel."""
-    out = np.empty((len(pix), 3), dtype=pix.dtype)
-    out[:, 0], out[:, 1], out[:, 2] = pix[:, 0], j, pix[:, 1]
+def _lift(pix: np.ndarray, j, n=None) -> np.ndarray:
+    """Pixels (x, z) placed in the planes y = j as voxels (x, j, z), pixel i
+    n[i] times (once if n is None); j is one plane or one per voxel."""
+    out = np.empty((len(pix) if n is None else int(n.sum()), 3), dtype=pix.dtype)
+    out[:, 1] = j
+    out[:, 0::2] = pix if n is None else np.repeat(pix, n, axis=0)
     return out
 
 
-def _ring_at(s: int, j: int) -> np.ndarray:
-    """Voxels of the digital circle of radius s in the plane y = j."""
-    return _lift(circle.circle_pixels(s), j)
-
-
-def _lift_runs(pix: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Each pixel pix[i] placed in the count[i] planes from start[i] up."""
-    return _lift(np.repeat(pix, count, axis=0), runs(start, count))
-
-
-def _upper(r: int, *gap: bool, rows: int | None = None):
-    """The upper-hemisphere lift of each slab of circle._plane(r, *gap,
-    rows=rows): a pixel of C(q) goes to the planes of column q of C(r)
-    (module docstring), a gap pixel of witness w to the one plane
-    gap_plane(r, w).  Distinct rings are disjoint."""
+def _profile(r: int, rings: bool = True, gaps: bool = True, lower: bool = True) -> np.ndarray:
+    """The completed sphere's profile (module docstring), with the rows of
+    the rings, of the gaps and below the equator only as asked."""
     first, last = kernels.row_extents(r)
     planes = np.array([gap_plane(r, w) for w in range(r)], dtype=INT)
-    for slab in circle._plane(r, *gap, rows=rows):
-        yield np.concatenate([_lift(pix, planes[q]) if g else
-                              _lift_runs(pix, first[q], last[q] - first[q] + 1)
-                              for (pix, q), g in zip(slab, gap)])
+    lo, hi = np.empty((2, 2 * r + 1), dtype=INT)
+    lo[0::2], lo[1::2] = first, planes
+    hi[0::2], hi[1::2] = last, planes
+    n, y = circle._mirrored_runs(lo, hi)
+    s = np.repeat(np.arange(2 * r + 1, dtype=INT), n)
+    keep = np.array([rings, gaps])[s % 2] & ((y >= 0) | lower)
+    return np.stack([s[keep], y[keep]], axis=1)
 
 
-def _mirrored(upper: np.ndarray) -> np.ndarray:
-    """upper followed by its mirror through the equator y = 0."""
-    both = np.concatenate([upper, upper])
-    both[len(upper):, 1] *= -1
-    return both
+def _lifted(r: int, profile: np.ndarray, rows: int):
+    """Canonical x-blocks of the rows voxels of the shape of profile: each
+    pixel (x, z) of index s of circle._plane(r, rows) goes to the voxels
+    (x, y, z) of the profile's rows (s, y)."""
+    s, y = profile.T
+    cut = np.searchsorted(s, np.arange(2 * r + 2))
+    for pix, t in circle._plane(r, rows=rows):
+        yield _lifted_slab(pix, t, cut, y)
 
 
-def _sphere_blocks(r: int, *gap: bool, rows: int):
-    """Canonical x-blocks of the sphere lifted from circle._plane(r, *gap):
-    each slab's upper hemisphere, mirrored and canonicalized on its own;
-    rows is the size of the whole sphere."""
-    for upper in _upper(r, *gap, rows=rows):
-        yield canonicalize(_mirrored(upper))
-
-
-def _hemisphere(r: int, gap: bool, rows: int) -> np.ndarray:
-    """The upper hemisphere lifted from circle._plane(r, gap), of rows
-    voxels: each slab canonicalized on its own, as an x-block."""
-    return circle._joined((canonicalize(upper) for upper in _upper(r, gap, rows=rows)), rows)
+def _lifted_slab(pix: np.ndarray, t: np.ndarray, cut: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The voxels of pixel i of pix in the planes y[cut[t[i]]:cut[t[i] + 1]],
+    canonicalized.  A call of its own, so that no temporary of the slab is
+    held while the block is written."""
+    n = cut[t + 1] - cut[t]
+    live = n > 0
+    if not live.all():  # a gap-only shape lifts few of a slab's pixels
+        pix, t, n = pix[live], t[live], n[live]
+    return canonicalize(_lift(pix, y[runs(cut[t], n)], n))
 
 
 def hemisphere_voxels(r: int) -> np.ndarray:
-    """Upper hemisphere: one ring per generatrix pixel, canonicalized.  The
-    generatrix pixels of abscissa q are the column q of C(r), so every pixel
-    of C(q) is lifted to that column's run of planes."""
-    # the sphere is this and its mirror, which share only the equator ring C(r)
-    n = analysis.sphere_count_row(r).primitive + circle.circle_count(r)
-    return _hemisphere(r, False, n // 2)
+    """Upper hemisphere: one ring per generatrix pixel, the rows y >= 0 of
+    the sphere's profile (module docstring)."""
+    n = (analysis.sphere_count_row(r).primitive + circle.circle_count(r)) // 2
+    return circle._joined(_lifted(r, _profile(r, gaps=False, lower=False), n), n)
 
 
 def sphere_blocks(r: int):
     """sphere_voxels(r) as canonical x-blocks, in ascending abscissa."""
-    yield from _sphere_blocks(r, False, rows=sphere_surface_count(r))
+    yield from _lifted(r, _profile(r, gaps=False), sphere_surface_count(r))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution: hemisphere plus its mirror through the equator."""
-    n = analysis.sphere_count_row(r).primitive
-    return circle._joined(_sphere_blocks(r, False, rows=n), n)
+    return circle._joined(sphere_blocks(r), sphere_surface_count(r))
 
 
 def sphere_surface_count(r: int) -> int:
@@ -167,18 +153,18 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
 def hemisphere_absentees(r: int) -> np.ndarray:
     """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
-    return _hemisphere(r, True, analysis.sphere_count_row(r).absentee // 2)
+    n = analysis.sphere_count_row(r).absentee // 2
+    return circle._joined(_lifted(r, _profile(r, rings=False, lower=False), n), n)
 
 
 def sphere_absentee_blocks(r: int):
     """sphere_absentees(r) as canonical x-blocks, in ascending abscissa."""
-    yield from _sphere_blocks(r, True, rows=sphere_absentee_count(r))
+    yield from _lifted(r, _profile(r, rings=False), sphere_absentee_count(r))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
     """Gap voxels of both hemispheres (the mirror never meets the equator)."""
-    n = analysis.sphere_count_row(r).absentee
-    return circle._joined(_sphere_blocks(r, True, rows=n), n)
+    return circle._joined(sphere_absentee_blocks(r), sphere_absentee_count(r))
 
 
 def sphere_absentee_count(r: int) -> int:
@@ -189,13 +175,12 @@ def sphere_absentee_count(r: int) -> int:
 def completed_sphere_blocks(r: int):
     """completed_sphere_voxels(r) as canonical x-blocks, in ascending
     abscissa.  Its rings and gap pixels come from one classified plane."""
-    yield from _sphere_blocks(r, False, True, rows=completed_sphere_count(r))
+    yield from _lifted(r, _profile(r), completed_sphere_count(r))
 
 
 def completed_sphere_voxels(r: int) -> np.ndarray:
     """Sphere of revolution with every gap voxel filled in."""
-    n = analysis.sphere_count_row(r).total
-    return circle._joined(_sphere_blocks(r, False, True, rows=n), n)
+    return circle._joined(completed_sphere_blocks(r), completed_sphere_count(r))
 
 
 def completed_sphere_count(r: int) -> int:

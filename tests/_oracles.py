@@ -196,18 +196,26 @@ def oracle_solid_absentee_voxels(r: int) -> set[tuple[int, int, int]]:
     return out
 
 
-def oracle_plane(n: int, *gap: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """circle._plane(n, *gap) classified as one whole box and not in slabs:
-    per flag, the canonical pixels of [-n, n]^2 with shell index <= 2n that
-    are gap pixels (True) or circle pixels (False), with their witness or
-    radius."""
+def oracle_plane(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """circle._plane(n) classified as one whole box and not in slabs: the
+    canonical pixels of [-n, n]^2 with shell index s <= 2n, and s (2q on
+    C(q), 2w + 1 in the gap of witness w)."""
     from voxsphere.lattice import classify_many
 
     axis = np.arange(-n, n + 1, dtype=np.int64)
     box = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     q, absent = classify_many(box[:, 0], box[:, 1])
-    inside = 2 * q + absent <= 2 * n
-    return [(box[k], q[k]) for k in (inside & (absent == g) for g in gap)]
+    s = 2 * q + absent
+    return box[s <= 2 * n], s[s <= 2 * n]
+
+
+def oracle_union_completed_spheres(r: int) -> np.ndarray:
+    """The union of the completed hollow spheres of radii 0..r, sphere by
+    sphere: their concatenation, canonicalized."""
+    from voxsphere.lattice import canonicalize
+    from voxsphere.sphere import completed_sphere_voxels
+
+    return canonicalize(np.concatenate([completed_sphere_voxels(s) for s in range(r + 1)]))
 
 
 def union_circles(radii) -> np.ndarray:

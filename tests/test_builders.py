@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _oracles as O
 from voxsphere import analysis, circle, solid, sphere
 
 # (builder, radius): each radius gives at least 3 x-blocks, and an output
@@ -120,16 +121,25 @@ def test_union_holds_the_sum_of_the_sphere_counts():
 
 @pytest.mark.parametrize("grow", [False, True], ids=["in-place", "appended"])
 def test_union_with_a_repeated_voxel_raises(monkeypatch, grow):
-    """A completed sphere that repeats one of its voxels, in place of its
-    last one or on top of its count, makes the union raise."""
-    build = solid.completed_sphere_voxels
+    """Union blocks that disagree with union_count raise: a voxel lifted
+    twice in place of another, which the slab's sort drops, leaves them
+    short; a voxel repeated on top of a block leaves them long."""
+    sort = sphere.canonicalize
 
-    def repeating(s):
-        vox = build(s)
-        if s != 3:
-            return vox
-        return np.concatenate([vox if grow else vox[:-1], vox[:1]])
+    def repeating(vox):
+        if grow:
+            out = sort(vox)
+            return np.concatenate([out, out[:1]])
+        return sort(np.concatenate([vox[:-1], vox[:1]]))
 
-    monkeypatch.setattr(solid, "completed_sphere_voxels", repeating)
-    with pytest.raises(circle.CountMismatch):
+    monkeypatch.setattr(sphere, "canonicalize", repeating)
+    with pytest.raises(circle.CountMismatch, match="exact count"):
         solid.union_completed_spheres(5)
+
+
+def test_union_is_the_union_of_the_completed_spheres():
+    """The union lifted from one plane equals the completed spheres of radii
+    0..r gathered sphere by sphere, for every r <= 40."""
+    for r in range(41):
+        assert np.array_equal(solid.union_completed_spheres(r),
+                              O.oracle_union_completed_spheres(r)), r

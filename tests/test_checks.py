@@ -149,7 +149,7 @@ def _off_by_one(blocks_of, extra):
 # (module, x-block generator, suite, check): a builder whose blocks disagree
 # with its exact count raises, and verify reports that check as failed
 COUNT_MISMATCHES = [
-    (sphere, "_upper", "sphere", "streamed-vs-materialized"),
+    (sphere, "_lifted", "sphere", "streamed-vs-materialized"),
     (solid, "_solid_absentee_blocks", "solid", "streamed-vs-materialized"),
     (solid, "completed_solid_blocks", "solid", "streamed-vs-materialized"),
     (circle, "_disc_absentee_blocks", "disc", "cover-identity"),

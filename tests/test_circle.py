@@ -60,25 +60,22 @@ def test_negative_radius_rejected():
 
 @pytest.mark.parametrize("r", [0, 1, 7, 40, 300])
 def test_plane_slabs_concatenate_to_the_whole_plane(monkeypatch, r):
-    """circle._plane yields slabs of canonical pixels, x-disjoint and in
-    ascending abscissa, whose concatenation is the plane classified as one
-    box.  The row target is patched to a fifth of the completed sphere, so
-    its slabs split the box from r = 1 on."""
+    """circle._plane yields slabs of canonical pixels with their shell
+    indices, x-disjoint and in ascending abscissa, whose concatenation is
+    the plane classified as one box.  The row target is patched to a fifth
+    of the completed sphere, so its slabs split the box from r = 1 on."""
     rows = completed_sphere_count(r)
     monkeypatch.setattr(io, "_CHUNK_ROWS", max(1, rows // 5))
-    slabs = list(circle._plane(r, False, True, rows=rows))
+    slabs = list(circle._plane(r, rows=rows))
     assert len(slabs) > 1 or r == 0
     spans = []
-    for slab in slabs:
-        assert len(slab) == 2
-        xs = np.concatenate([pix[:, 0] for pix, _ in slab])
-        spans.append((xs.min(), xs.max()))
-        for pix, q in slab:
-            assert np.array_equal(pix, canonicalize(pix)) and len(q) == len(pix)
+    for pix, s in slabs:
+        assert np.array_equal(pix, canonicalize(pix)) and len(s) == len(pix)
+        spans.append((pix[:, 0].min(), pix[:, 0].max()))
     assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
-    for i, (pix, q) in enumerate(O.oracle_plane(r, False, True)):
-        assert np.array_equal(np.concatenate([slab[i][0] for slab in slabs]), pix)
-        assert np.array_equal(np.concatenate([slab[i][1] for slab in slabs]), q)
+    pix, s = O.oracle_plane(r)
+    assert np.array_equal(np.concatenate([p for p, _ in slabs]), pix)
+    assert np.array_equal(np.concatenate([t for _, t in slabs]), s)
 
 
 @pytest.mark.parametrize("r", range(21))

@@ -7,6 +7,7 @@ and require byte-identical output.
 
 import hashlib
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -247,7 +248,7 @@ def test_streamed_shapes():
 @pytest.mark.parametrize("r", [0, 1, 2, 7, 13, 40])
 def test_stream_matches_array_bytes(monkeypatch, shape, fmt, r):
     """With a row target of 1/64 of the set (16 rows at least) the x-blocks
-    split, except for the circle and the union, which are one block: the
+    split, except for the circle, which is one block: the
     blocks are canonical, x-disjoint and ascending, their concatenation is
     the array the builder returns at the default target, and the streamed
     export is that array's export."""
@@ -256,8 +257,7 @@ def test_stream_matches_array_bytes(monkeypatch, shape, fmt, r):
     target = max(16, len(whole) // 64)
     monkeypatch.setattr(vio, "_CHUNK_ROWS", target)
     blocks = list(blocks_of(r))
-    assert (len(blocks) > 1 or len(whole) <= 2 * target
-            or shape in ("circle", "solid"))
+    assert len(blocks) > 1 or len(whole) <= 2 * target or shape == "circle"
     for block in blocks:
         assert np.array_equal(block, canonicalize(block))
     xs = [(b[0, 0], b[-1, 0]) for b in blocks if len(b)]
@@ -297,6 +297,12 @@ def test_stream_checks_the_count_it_is_given():
     for fmt in vio.FORMATS:
         with pytest.raises(vio.CountMismatch, match="declared count"):
             b"".join(vio.stream([pts[:3], pts[3:]], fmt, len(pts) - 1))
+    # the block that overshoots the count is refused before any of its rows
+    chunks = []
+    with pytest.raises(vio.CountMismatch, match="at least 28 rows"):
+        for chunk in vio.stream([pts[:3], pts[3:]], "canonical-text", 4):
+            chunks.append(chunk)
+    assert b"".join(chunks) == vio.emit(pts[:3], "canonical-text")
 
 
 @pytest.mark.parametrize("fmt", vio.FORMATS)
@@ -305,18 +311,25 @@ def test_generate_with_rows_off_its_count_exits_4(monkeypatch, capsys, tmp_path,
     """A builder fault, in every format: the rows of sphere-complete -r 7
     are checked against its exact count, 538, so the export exits 4 with one
     error line and no traceback, writes no file and leaves an existing one
-    as it was."""
-    monkeypatch.setattr(sphere, "_upper", _off_by_one(sphere._upper, extra))
-    argv = ["generate", "sphere-complete", "-r", "7", "--format", fmt, "--out"]
-    rows = 540 if extra else 536  # the extra row is mirrored below the equator
+    as it was.  To standard output no row past the count is written: a
+    block that would overshoot it is refused before any of its rows, while
+    a short set can only show after the last block."""
+    monkeypatch.setattr(sphere, "_lifted", _off_by_one(sphere._lifted, extra))
+    argv = ["generate", "sphere-complete", "-r", "7", "--format", fmt]
+    error = ("error: sphere-complete -r 7: the blocks hold "
+             + ("at least 539" if extra else "537") + " rows against a declared count of 538\n")
     (tmp_path / "old").write_bytes(b"old content\n")
     for out in (tmp_path / "new", tmp_path / "old"):
-        rc, stdout, err = run_cli(capsys, *argv, str(out))
-        assert rc == 4 and stdout == ""
-        assert err == (f"error: sphere-complete -r 7: the blocks hold {rows} rows "
-                       "against a declared count of 538\n")
+        rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert rc == 4 and stdout == "" and err == error
     assert [p.name for p in tmp_path.iterdir()] == ["old"]
     assert (tmp_path / "old").read_bytes() == b"old content\n"
+    rc, stdout, err = run_cli(capsys, *argv)
+    assert rc == 4 and err == error
+    written = [line for line in stdout.splitlines() if re.fullmatch(r"-?\d+[ ,]-?\d+[ ,]-?\d+", line)]
+    assert len(written) <= 538
+    if not extra:
+        assert len(written) == 537
 
 
 def _failing_chunks():
