@@ -38,7 +38,7 @@ a radius are built by the step of the radius loop that reads them and
 dropped after it, so a run holds at most one radius's 3-D sets at a time,
 and membership-predicate hands its box to the predicate in slabs of
 _BOX_SLAB voxels.  A builder whose x-blocks disagree with its exact count
-raises circle.CountMismatch; the checks that read its set report that as a
+raises io.CountMismatch; the checks that read its set report that as a
 failure (streamed-vs-materialized for the sphere and solid sets) rather
 than stopping the run.
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import INT, canonicalize, on_digital_circle, symmetric_octet
-from . import analysis, circle, solid, sphere
+from . import analysis, circle, io, solid, sphere
 
 
 @dataclass
@@ -116,7 +116,7 @@ def _disc_absentees(memo: Memo, r: int) -> np.ndarray | None:
     disagree with their exact count."""
     try:
         return memo(circle.disc_absentees, r)
-    except circle.CountMismatch:
+    except io.CountMismatch:
         return None
 
 
@@ -172,12 +172,13 @@ def check_disc(max_r: int, memo: Memo | None = None) -> list[CheckResult]:
 
     report = analysis.compare_closed_form(min(max_r, 128))
     mismatches = [row for row in report if not row[3]]
-    results.append(CheckResult(
-        "disc", "closed-form", True,
-        f"formula disagrees with enumeration at {len(mismatches)}/{len(report)} radii "
-        f"(first: r={mismatches[0][0]} formula={mismatches[0][1]} enumerated={mismatches[0][2]})"
-        if mismatches else "formula matches enumeration everywhere",
-        gating=False))
+    detail = ("formula matches enumeration everywhere" if report
+              else "no radius compared (the formula is compared from r = 1)")
+    if mismatches:
+        r, cf, en, _ = mismatches[0]
+        detail = (f"formula disagrees with enumeration at {len(mismatches)}/{len(report)} radii "
+                  f"(first: r={r} formula={cf} enumerated={en})")
+    results.append(CheckResult("disc", "closed-form", True, detail, gating=False))
 
     return results
 
@@ -225,7 +226,7 @@ def check_sphere(max_r: int, long: bool = False,
             break
         try:
             _check_sphere_radius(r, todo, ok, memo)
-        except circle.CountMismatch:
+        except io.CountMismatch:
             ok.update(dict.fromkeys(todo | {"materialized"}, False))
 
     results = [CheckResult(
@@ -348,7 +349,7 @@ def check_solid(max_r: int, long: bool = False,
                 ok["materialized"] = (av.shape[0] == solid.solid_absentee_count(r)
                                       and solid.completed_solid_voxels(r).shape[0]
                                       == solid.completed_solid_count(r))
-        except circle.CountMismatch:
+        except io.CountMismatch:
             ok.update(dict.fromkeys(todo | {"materialized"}, False))
             continue
         if "species" in todo:
@@ -401,7 +402,7 @@ def check_solid(max_r: int, long: bool = False,
         detail = (f"{solid.coverage_holes(r_hole).shape[0]} sealed voxels outside both "
                   f"species at r={r_hole} (expected: the species construction leaves "
                   "interior holes from r=7)")
-    except circle.CountMismatch as exc:
+    except io.CountMismatch as exc:
         detail = f"not computed at r={r_hole}: {exc}"
     results.append(CheckResult("solid", "coverage-holes", True, detail, gating=False))
 

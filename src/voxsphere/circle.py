@@ -14,13 +14,14 @@ only when 2k^2 - k >= w^2, so absentees cluster around the diagonal and
 never touch the axes.
 
 The disc is filled column by column (disc_blocks), and the classified plane
-(_plane) is that fill with each pixel's shell index, one slab of columns at
-a time: the disc's gap pixels are its odd-index pixels, and every 3-D
-shape built from the plane lifts its slabs (sphere module docstring).  All
-are x-blocks that ``generate`` writes as they come, against the shape's
-exact closed count.  Every array builder of the package copies its
-x-blocks into one array of that count (_joined), never holding a list of
-blocks and their concatenation at once.
+(_plane) is that fill with each pixel's shell index, in runs of whole
+columns: the disc's gap pixels are its odd-index pixels, and every 3-D
+shape built from the plane lifts its runs (sphere module docstring).  All
+are x-blocks, runs of whole columns that kernels._blocks cuts to about
+io._CHUNK_ROWS of the rows the construction yields, never by the shape's
+exact closed count, which only checks them (io.counted): ``generate``
+writes them as they come, and every array builder copies them into one
+array of that count (_joined), never holding a list of them at once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import analysis, io, kernels
-from .io import CountMismatch
 from .lattice import (
     INT,
     IntegerInterval,
@@ -121,40 +121,37 @@ def disc_count(r: int) -> int:
     return int((2 * _disc_columns(r)[1] + 1).sum())
 
 
-# box pixels spanned per slab of _plane at most, which bounds its temporaries
-_SLAB_PIXELS = 1 << 16
-
-
-def _plane(n: int, rows: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _plane(n: int, weight: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pixels of D(n), which are the pixels of shell index s <= 2n
     (kernels module docstring), each with s: 2q on the circle C(q), 2w + 1
     in the gap of witness w.  Yields them as (pixels, s), pixels in
-    canonical order, one slab of columns at a time, in ascending abscissa.
-    A slab spans at most _SLAB_PIXELS box pixels and, given rows, the size
-    of the shape lifted from the plane, no more columns than lift to
-    io._CHUNK_ROWS rows on average."""
+    canonical order, one run of whole columns at a time, in ascending
+    abscissa.  The columns are classified in runs of about io._CHUNK_ROWS
+    pixels, and each run is cut again into runs whose pixels yield about
+    io._CHUNK_ROWS rows, a pixel of index s yielding weight[s] of them, so
+    the runs depend on the shape built from the plane and not on its
+    count."""
     if n < 0:
         raise ValueError("radius must be non-negative")
     axis, h = _disc_columns(n)
-    width = _SLAB_PIXELS // axis.size
-    if rows:
-        width = min(width, axis.size * io._CHUNK_ROWS // rows)
-    width = max(width, 1)
-    for a in range(0, axis.size, width):
-        x, y = _columns(axis[a:a + width], h[a:a + width])
+    for a, b in kernels._blocks(2 * h + 1, io._CHUNK_ROWS):
+        x, y = _columns(axis[a:b], h[a:b])
         s, absent = classify_many(x, y)
         s *= 2
         s += absent
-        yield np.stack([x, y], axis=1), s
+        pix = np.stack([x, y], axis=1)
+        edge = np.append(0, np.cumsum(2 * h[a:b] + 1))  # column starts, then the end
+        for c, d in kernels._blocks(np.add.reduceat(weight[s], edge[:-1]), io._CHUNK_ROWS):
+            yield pix[edge[c]:edge[d]], s[edge[c]:edge[d]]
 
 
 def _joined(blocks: Iterable[np.ndarray], rows: int) -> np.ndarray:
-    """The concatenation of blocks, which must hold rows rows in all: a
+    """The concatenation of blocks, read through io.counted against their
+    exact count rows, so no short or padded array is ever returned: a
     single block as it is, else one array of rows rows, allocated once and
-    filled block by block as the blocks come, so no list of blocks is kept.
-    Raises CountMismatch when the blocks hold fewer or more rows than rows,
-    so no short or padded array is ever returned."""
-    blocks = iter(blocks)
+    filled block by block as the blocks come, so no list of blocks is
+    kept."""
+    blocks = io.counted(blocks, rows)
     out = next(blocks)
     n = len(out)
     if n < rows:
@@ -162,13 +159,8 @@ def _joined(blocks: Iterable[np.ndarray], rows: int) -> np.ndarray:
         whole[:n] = out
         out = whole
     for block in blocks:
-        if n + len(block) > rows:
-            n += len(block)
-            break
         out[n:n + len(block)] = block
         n += len(block)
-    if n != rows:
-        raise CountMismatch(f"the x-blocks hold {n} rows against an exact count of {rows}")
     return out
 
 
@@ -195,19 +187,13 @@ def disc_absentees(r: int) -> np.ndarray:
     """All absentee pixels of the disc D(r): pixels inside the disc's extent
     lying on no C(s) with s <= r.  These are exactly the gap pixels with
     witness w <= r - 1."""
-    n = analysis.sphere_count_row(r).absentee // 2
-    return _joined(_disc_absentee_blocks(r, n), n)
+    return _joined(disc_absentee_blocks(r), disc_absentee_count(r))
 
 
 def disc_absentee_blocks(r: int) -> Iterator[np.ndarray]:
-    """disc_absentees(r) as canonical x-blocks, in ascending abscissa."""
-    yield from _disc_absentee_blocks(r, disc_absentee_count(r))
-
-
-def _disc_absentee_blocks(r: int, rows: int) -> Iterator[np.ndarray]:
-    """disc_absentee_blocks(r), given its exact row count, which sets the
-    slab width: the gap pixels, of odd index, of each slab of _plane(r)."""
-    for pix, s in _plane(r, rows=rows):
+    """disc_absentees(r) as canonical x-blocks, in ascending abscissa: the
+    gap pixels, of odd index, of each run of _plane(r)."""
+    for pix, s in _plane(r, np.arange(2 * r + 1) & 1):
         yield pix[(s & 1).astype(bool)]
 
 

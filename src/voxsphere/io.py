@@ -11,12 +11,14 @@ Three formats, all ASCII and byte-deterministic for a given set:
 
 ``stream`` yields an export as bytes chunks, from an iterable of point
 blocks that it reads one block at a time, and checks their rows against an
-exact count in every format; ``emit`` joins the chunks of one array.  Rows
-are converted from int64 with numpy in fixed-size chunks; no Python object
-is made per row.  One pass per chunk counts each field's digits, by
-comparing its magnitude with the powers of ten up to the chunk's largest,
-writes the digits (in 32-bit arithmetic when every magnitude is below 10^9)
-and keeps each field's own columns through a mask looked up by digit count.
+exact count in every format through ``counted``, the one count check,
+which the array builders read too (circle._joined); ``emit`` joins the
+chunks of one array.  Rows are converted from int64 with numpy in
+fixed-size chunks; no Python object is made per row.  One pass per chunk
+counts each field's digits, by comparing its magnitude with the powers of
+ten up to the chunk's largest, writes the digits (in 32-bit arithmetic
+when every magnitude is below 10^9) and keeps each field's own columns
+through a mask looked up by digit count.
 
 Canonical blocks whose first coordinates fill disjoint, ascending ranges
 concatenate to a canonical array: every row of a block has a smaller first
@@ -57,8 +59,9 @@ def _as_points(vox: np.ndarray) -> np.ndarray:
 
 
 # Rows converted per step of _ascii_rows, which bounds its temporaries; also
-# the row target of the builders' x-blocks (circle._plane's slabs and
-# solid.completed_solid_blocks).
+# the row target of every builder's x-blocks, runs of whole columns cut by
+# kernels._blocks, and the pixels of each column run that circle._plane
+# classifies at once.
 _CHUNK_ROWS = 1 << 15
 
 
@@ -130,13 +133,13 @@ def stream(blocks: Iterable[np.ndarray], fmt: str, count: int) -> Iterator[bytes
     blocks holds at least one array, all of one width, and is read one block
     at a time, so the chunks can go to a file while later blocks are still
     unbuilt.  count is the total number of rows, known up front: the PLY
-    header declares it, and in every format rows that differ from it raise
-    CountMismatch: a block that would take the rows past it before any of
-    its rows is written, and a short total after the last block.
+    header declares it, and in every format the blocks are read through
+    counted, so a block that would take the rows past it is refused before
+    any of its rows is written, and a short total raises after the last.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
-    return _stream(iter(blocks), fmt, count)
+    return _stream(counted(blocks, count), fmt, count)
 
 
 def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int) -> Iterator[bytes]:
@@ -144,20 +147,28 @@ def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int) -> Iterator[byte
     width = first.shape[1]
     yield _head(fmt, width, count).encode("ascii")
     sep = "," if fmt == "csv" else " "
-    rows = 0
     for pts in itertools.chain([first], blocks):
         pts = _as_points(pts)
         if pts.shape[1] != width:
             raise ValueError("blocks of different widths")
-        rows += len(pts)
-        if rows > count:  # refused before any of its rows is written
-            raise CountMismatch(f"the blocks hold at least {rows} rows against a declared "
-                                f"count of {count}")
         if fmt == "ply-ascii" and width == 2:  # pixels at z = 0
             pts = np.hstack([pts, np.zeros((len(pts), 1), dtype=INT)])
         yield from _ascii_rows(pts, sep)
+
+
+def counted(blocks: Iterable[np.ndarray], count: int) -> Iterator[np.ndarray]:
+    """The blocks, checked against their exact count of rows: a block that
+    would take the rows past count raises CountMismatch before it is
+    yielded, and rows short of count raise it after the last block."""
+    rows = 0
+    for block in blocks:
+        rows += len(block)
+        if rows > count:
+            raise CountMismatch(f"the blocks hold at least {rows} rows against an exact "
+                                f"count of {count}")
+        yield block
     if rows != count:
-        raise CountMismatch(f"the blocks hold {rows} rows against a declared count of {count}")
+        raise CountMismatch(f"the blocks hold {rows} rows against an exact count of {count}")
 
 
 def emit(vox: np.ndarray, fmt: str) -> bytes:

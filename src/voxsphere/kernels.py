@@ -108,6 +108,8 @@ def _blocks(count: np.ndarray, size: int = _BLOCK):
     item whose units start past the next multiple of size."""
     if not count.size:
         return ()
+    if count.sum() - count[-1] < size:  # one block: every item starts in it
+        return ((0, count.size),)
     block = (np.cumsum(count) - count) // size
     cut = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
     return zip([0] + cut, cut + [count.size])

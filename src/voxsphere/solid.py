@@ -38,8 +38,9 @@ witness w the planes |y| <= isqrt(w) (the line); in the union's, the union
 of the completed spheres' profiles, a ring pixel of radius q takes the
 planes y of the ring pixels (q, y) of D(r) and a gap pixel of witness w
 the planes +-gap_plane(s, w), w < s <= r.  The completed solid's x-blocks
-are runs of columns of its (x, j) matrix of z half-heights.  The array
-builders copy the blocks into one array of the exact closed count.
+are runs of columns of its (x, j) matrix of z half-heights.  No block
+reads the count: the array builders copy the blocks into one array of the
+exact closed count, which checks them (circle._joined).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from .lattice import INT, canonicalize, classify_pixel, exact_isqrt_many, isqrt, runs, symmetric_octet
 from .circle import _joined, disc_absentees, gap_band_index, iter_octant_absentees
 from .sphere import _lift, _lifted, _profile, completed_sphere_voxels
-from .analysis import enumerated_disc_absentee_count, solid_count_row, \
+from .analysis import enumerated_disc_absentee_count, \
     species_voxel_counts  # noqa: F401  (re-exported: part of the solid API)
 from . import analysis, circle, io, kernels
 
@@ -104,26 +105,20 @@ def solid_absentee_voxels(r: int) -> np.ndarray:
     completed radius-2 sphere).  Line and circle voxels are disjoint because
     their zx-projections are a gap pixel and a circle pixel respectively.
     """
-    n = analysis.solid_count_row(r).absentee
-    return _joined(_solid_absentee_blocks(r, n), n)
+    return _joined(solid_absentee_blocks(r), solid_absentee_count(r))
 
 
 def solid_absentee_blocks(r: int):
     """solid_absentee_voxels(r) as canonical x-blocks, in ascending
-    abscissa.  A line voxel keeps the abscissa of its gap pixel and a circle
-    voxel that of its ring pixel, so each block lifts the pixels of one run
-    of abscissas and is sorted on its own."""
-    yield from _solid_absentee_blocks(r, solid_absentee_count(r))
-
-
-def _solid_absentee_blocks(r: int, rows: int):
-    """solid_absentee_blocks(r), given its exact row count, which sets the
-    slab width: the lift of the species' profile (module docstring)."""
+    abscissa: the lift of the species' profile (module docstring).  A line
+    voxel keeps the abscissa of its gap pixel and a circle voxel that of its
+    ring pixel, so each block lifts the pixels of one run of abscissas and
+    is sorted on its own."""
     gaps = disc_absentees(r)  # the cross-section's gap pixels, canonical
     w = np.arange(r, dtype=INT)
     h = exact_isqrt_many(w)
     lines = np.stack([np.repeat(2 * w + 1, 2 * h + 1), runs(-h, 2 * h + 1)], axis=1)
-    yield from _lifted(r, _merged(gaps[gaps[:, 0] >= 0] * [2, 1], lines), rows)
+    yield from _lifted(r, _merged(gaps[gaps[:, 0] >= 0] * [2, 1], lines))
 
 
 def _merged(*profiles: np.ndarray) -> np.ndarray:
@@ -134,7 +129,7 @@ def _merged(*profiles: np.ndarray) -> np.ndarray:
 
 def solid_absentee_count(r: int) -> int:
     """|solid_absentee_voxels(r)| via closed tallies, without materializing."""
-    return solid_count_row(r).absentee
+    return analysis.solid_count_row(r).absentee
 
 
 def absentee_line_count(r: int) -> int:
@@ -166,7 +161,7 @@ def union_blocks(r: int):
     w) rises strictly in s), so no row of the profile repeats."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    yield from _lifted(r, _merged(*(_profile(s) for s in range(r + 1))), union_count(r))
+    yield from _lifted(r, _merged(*(_profile(s) for s in range(r + 1))))
 
 
 def union_count(r: int) -> int:
@@ -182,8 +177,7 @@ def completed_solid_voxels(r: int) -> np.ndarray:
     when |z| is at most the row maximum of C(s) at |x| (the disc_pixels
     column fill), so the rows come out in canonical order.
     """
-    n = analysis.solid_count_row(r).total
-    return _joined(completed_solid_blocks(r), n)
+    return _joined(completed_solid_blocks(r), completed_solid_count(r))
 
 
 def completed_solid_blocks(r: int):
@@ -209,7 +203,7 @@ def completed_solid_blocks(r: int):
 
 def completed_solid_count(r: int) -> int:
     """|completed_solid_voxels(r)| via per-plane disc sizes (streaming)."""
-    return solid_count_row(r).total
+    return analysis.solid_count_row(r).total
 
 
 def enclosed_voxels(vox: np.ndarray) -> np.ndarray:

@@ -30,12 +30,13 @@ the plane y.  The completed sphere's (_profile) is column q of C(r) at
 s = 2q and +-gap_plane(r, w) at s = 2w + 1; the sphere keeps its even
 rows, the absentees the odd ones, the hemispheres those with y >= 0 (the
 solid's profiles: solid module docstring).  One lift (_lifted) repeats each
-pixel of a slab of circle._plane over its rows and canonicalizes the slab
-as an x-block; the blocks, disjoint and ascending in x, concatenate to the
-canonical set (io module docstring), and ``generate`` writes them as they
-come.  Given the shape's exact closed count from analysis, a slab lifts to
-about io._CHUNK_ROWS voxels; the array builders copy the blocks into one
-array of that count (circle._joined) and raise should they hold fewer or
+pixel of a run of circle._plane over its rows and canonicalizes the run as
+an x-block; a pixel of index s weighs its profile rows in the cut of the
+runs, so a run lifts to about io._CHUNK_ROWS voxels, whatever the count.
+The blocks, disjoint and ascending in x, concatenate to the canonical set
+(io module docstring), and ``generate`` writes them as they come.  The
+array builders copy them into one array of the shape's exact closed count
+from analysis (circle._joined), which raises should they hold fewer or
 more rows.  The upper hemisphere has (|sphere| + |C(r)|) / 2 voxels: it and
 its mirror share only the equator ring C(r).
 """
@@ -81,13 +82,13 @@ def _profile(r: int, rings: bool = True, gaps: bool = True, lower: bool = True) 
     return np.stack([s[keep], y[keep]], axis=1)
 
 
-def _lifted(r: int, profile: np.ndarray, rows: int):
-    """Canonical x-blocks of the rows voxels of the shape of profile: each
-    pixel (x, z) of index s of circle._plane(r, rows) goes to the voxels
-    (x, y, z) of the profile's rows (s, y)."""
+def _lifted(r: int, profile: np.ndarray):
+    """Canonical x-blocks of the shape of profile: each pixel (x, z) of
+    index s of circle._plane(r) goes to the voxels (x, y, z) of the
+    profile's rows (s, y), so it weighs as many rows as s has there."""
     s, y = profile.T
     cut = np.searchsorted(s, np.arange(2 * r + 2))
-    for pix, t in circle._plane(r, rows=rows):
+    for pix, t in circle._plane(r, np.diff(cut)):
         yield _lifted_slab(pix, t, cut, y)
 
 
@@ -106,12 +107,12 @@ def hemisphere_voxels(r: int) -> np.ndarray:
     """Upper hemisphere: one ring per generatrix pixel, the rows y >= 0 of
     the sphere's profile (module docstring)."""
     n = (analysis.sphere_count_row(r).primitive + circle.circle_count(r)) // 2
-    return circle._joined(_lifted(r, _profile(r, gaps=False, lower=False), n), n)
+    return circle._joined(_lifted(r, _profile(r, gaps=False, lower=False)), n)
 
 
 def sphere_blocks(r: int):
     """sphere_voxels(r) as canonical x-blocks, in ascending abscissa."""
-    yield from _lifted(r, _profile(r, gaps=False), sphere_surface_count(r))
+    yield from _lifted(r, _profile(r, gaps=False))
 
 
 def sphere_voxels(r: int) -> np.ndarray:
@@ -153,13 +154,13 @@ def step_gap_voxels(gen: np.ndarray, t: int) -> np.ndarray:
 def hemisphere_absentees(r: int) -> np.ndarray:
     """All upper-hemisphere gap voxels: the union of step_gap_voxels over the
     radius-growing generatrix steps; one voxel per gap pixel of the disc."""
-    n = analysis.sphere_count_row(r).absentee // 2
-    return circle._joined(_lifted(r, _profile(r, rings=False, lower=False), n), n)
+    return circle._joined(_lifted(r, _profile(r, rings=False, lower=False)),
+                          circle.disc_absentee_count(r))
 
 
 def sphere_absentee_blocks(r: int):
     """sphere_absentees(r) as canonical x-blocks, in ascending abscissa."""
-    yield from _lifted(r, _profile(r, rings=False), sphere_absentee_count(r))
+    yield from _lifted(r, _profile(r, rings=False))
 
 
 def sphere_absentees(r: int) -> np.ndarray:
@@ -175,7 +176,7 @@ def sphere_absentee_count(r: int) -> int:
 def completed_sphere_blocks(r: int):
     """completed_sphere_voxels(r) as canonical x-blocks, in ascending
     abscissa.  Its rings and gap pixels come from one classified plane."""
-    yield from _lifted(r, _profile(r), completed_sphere_count(r))
+    yield from _lifted(r, _profile(r))
 
 
 def completed_sphere_voxels(r: int) -> np.ndarray:

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 import _oracles as O
-from voxsphere import analysis, circle, solid, sphere
+from voxsphere import analysis, circle, cli, io, solid, sphere
 
 # (builder, radius): each radius gives at least 3 x-blocks, and an output
 # large enough (21 to 41 MiB) that a block's own working set, up to about
-# 5 MiB with the classification of one _plane slab, fits in the bound.
+# 5 MiB with the classification of one column run of _plane (about
+# io._CHUNK_ROWS pixels), fits in the bound: the peaks measure 0.87 to 0.96
+# of it (hemisphere_voxels(500) the highest, at 1.001 with runs of 2^16
+# pixels).
 LARGE = [
     (sphere.sphere_voxels, 400),
     (sphere.sphere_absentees, 1700),
@@ -76,7 +79,7 @@ def test_joined_fills_one_array_of_exactly_the_count(sizes):
         assert out is blocks[0]  # a single block as it is
     for rows in (total - 1, total + 1):
         if rows >= 0:
-            with pytest.raises(circle.CountMismatch, match="exact count"):
+            with pytest.raises(io.CountMismatch, match="exact count"):
                 circle._joined(iter(blocks), rows)
 
 
@@ -101,8 +104,49 @@ def test_blocks_short_or_long_of_the_count_raise(monkeypatch, build, r, d):
     module, name = SOURCE.get(build.__name__, (analysis, "sphere_count_row"))
     count = getattr(module, name)
     monkeypatch.setattr(module, name, lambda r: SHIFTED[name](count(r), d))
-    with pytest.raises(circle.CountMismatch, match="exact count"):
+    with pytest.raises(io.CountMismatch, match="exact count"):
         build(r)
+
+
+# every shape generate writes in x-blocks (all but the one-block circle):
+# its array builder and the source of its count, shifted as in SHIFTED
+BLOCKED = {
+    "disc": (circle.disc_pixels, circle, "disc_count"),
+    "disc-absentees": (circle.disc_absentees, analysis, "sphere_count_row"),
+    "sphere": (sphere.sphere_voxels, analysis, "sphere_count_row"),
+    "sphere-absentees": (sphere.sphere_absentees, analysis, "sphere_count_row"),
+    "sphere-complete": (sphere.completed_sphere_voxels, analysis, "sphere_count_row"),
+    "solid": (solid.union_completed_spheres, analysis, "sphere_count_row"),
+    "solid-absentees": (solid.solid_absentee_voxels, analysis, "solid_count_row"),
+    "solid-complete": (solid.completed_solid_voxels, analysis, "solid_count_row"),
+}
+
+
+@pytest.mark.parametrize("shape", BLOCKED)
+@pytest.mark.parametrize("r", [13, 40])
+@pytest.mark.parametrize("under", [0, 1], ids=["target-at-count", "target-under-count"])
+@pytest.mark.parametrize("d", [-1, 1])
+def test_a_count_never_moves_a_block(monkeypatch, tmp_path, shape, r, under, d):
+    """The x-blocks are cut from what the construction yields, never from
+    the count that checks them: with the count source shifted either way,
+    every block is the same array as before, while the array builder and
+    generate still refuse the rows.  The row target sits at the exact count
+    or one row under it, where a cut read from the count would move."""
+    build, module, name = BLOCKED[shape]
+    blocks_of, count_of = cli.SHAPES[shape]
+    monkeypatch.setattr(io, "_CHUNK_ROWS", count_of(r) - under)
+    before = list(blocks_of(r))
+    count = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda r: SHIFTED[name](count(r), d))
+    if shape == "disc":  # generate reads disc_count itself, the disc's count source
+        monkeypatch.setitem(cli.SHAPES, shape, (blocks_of, circle.disc_count))
+    after = list(blocks_of(r))
+    assert len(after) == len(before)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    with pytest.raises(io.CountMismatch, match="exact count"):
+        build(r)
+    assert cli.main(["generate", shape, "-r", str(r), "--out", str(tmp_path / "out")]) == 4
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=_name)
@@ -133,7 +177,7 @@ def test_union_with_a_repeated_voxel_raises(monkeypatch, grow):
         return sort(np.concatenate([vox[:-1], vox[:1]]))
 
     monkeypatch.setattr(sphere, "canonicalize", repeating)
-    with pytest.raises(circle.CountMismatch, match="exact count"):
+    with pytest.raises(io.CountMismatch, match="exact count"):
         solid.union_completed_spheres(5)
 
 

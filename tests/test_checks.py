@@ -37,6 +37,16 @@ def test_verify_output_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_32_SHA256
 
 
+def test_closed_form_at_max_r_0_compares_no_radius(capsys):
+    """At --max-r 0 the closed form is compared at no radius (it is compared
+    from r = 1), and the line says so rather than that it matches."""
+    rc, out = run_verify(capsys, "disc", 0)
+    assert rc == 0
+    line = next(line for line in out.splitlines() if "disc:closed-form" in line)
+    assert line == "[INFO] disc:closed-form no radius compared (the formula is compared from r = 1)"
+    assert analysis.compare_closed_form(0) == []
+
+
 def test_verify_output_frozen_at_the_largest_cap(capsys):
     rc, out = run_verify(capsys, "all", 128)
     assert rc == 0
@@ -150,9 +160,9 @@ def _off_by_one(blocks_of, extra):
 # with its exact count raises, and verify reports that check as failed
 COUNT_MISMATCHES = [
     (sphere, "_lifted", "sphere", "streamed-vs-materialized"),
-    (solid, "_solid_absentee_blocks", "solid", "streamed-vs-materialized"),
+    (solid, "solid_absentee_blocks", "solid", "streamed-vs-materialized"),
     (solid, "completed_solid_blocks", "solid", "streamed-vs-materialized"),
-    (circle, "_disc_absentee_blocks", "disc", "cover-identity"),
+    (circle, "disc_absentee_blocks", "disc", "cover-identity"),
 ]
 
 

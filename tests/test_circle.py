@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import _oracles as O
 from _oracles import row_tiling_check, union_circles
-from voxsphere import circle, io
+from voxsphere import circle, io, kernels
 from voxsphere.circle import (
     absentee_interval,
     circle_pixels,
@@ -18,7 +18,7 @@ from voxsphere.circle import (
 )
 from voxsphere.kernels import row_extents
 from voxsphere.lattice import absentee_witness, canonicalize, classify_pixel, on_digital_circle
-from voxsphere.sphere import completed_sphere_count
+from voxsphere.sphere import _profile
 
 CIRCLE_SIZES = [1, 4, 12, 16, 24, 28, 32, 40, 44, 52, 56, 64, 68, 72, 80, 84, 92]
 DISC_SIZES = [1, 5, 21, 37, 61, 97, 129, 177, 221, 277, 349]
@@ -60,18 +60,27 @@ def test_negative_radius_rejected():
 
 @pytest.mark.parametrize("r", [0, 1, 7, 40, 300])
 def test_plane_slabs_concatenate_to_the_whole_plane(monkeypatch, r):
-    """circle._plane yields slabs of canonical pixels with their shell
-    indices, x-disjoint and in ascending abscissa, whose concatenation is
-    the plane classified as one box.  The row target is patched to a fifth
-    of the completed sphere, so its slabs split the box from r = 1 on."""
-    rows = completed_sphere_count(r)
-    monkeypatch.setattr(io, "_CHUNK_ROWS", max(1, rows // 5))
-    slabs = list(circle._plane(r, rows=rows))
+    """circle._plane yields runs of whole columns of canonical pixels with
+    their shell indices, x-disjoint and in ascending abscissa, whose
+    concatenation is the plane classified as one box.  The row target is
+    patched to a fifth of the disc, so the classified runs split from r = 1
+    on, and the completed sphere's weights cut them again: the columns of a
+    run before its last yield fewer rows than the target (kernels._blocks)."""
+    pixels = circle.disc_count(r)
+    target = max(1, pixels // 5)
+    monkeypatch.setattr(io, "_CHUNK_ROWS", target)
+    weight = np.diff(np.searchsorted(_profile(r)[:, 0], np.arange(2 * r + 2)))
+    slabs = list(circle._plane(r, weight))
+    classified = len(list(kernels._blocks(2 * circle._disc_columns(r)[1] + 1, target)))
+    assert len(slabs) > classified or r < 7
     assert len(slabs) > 1 or r == 0
     spans = []
     for pix, s in slabs:
         assert np.array_equal(pix, canonicalize(pix)) and len(s) == len(pix)
         spans.append((pix[:, 0].min(), pix[:, 0].max()))
+        rows = weight[s]
+        last = pix[:, 0] == pix[-1, 0]
+        assert rows[~last].sum() < target
     assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
     pix, s = O.oracle_plane(r)
     assert np.array_equal(np.concatenate([p for p, _ in slabs]), pix)

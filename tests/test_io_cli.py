@@ -292,10 +292,10 @@ def test_stream_of_one_array_is_emit():
 
 def test_stream_checks_the_count_it_is_given():
     pts = circle.circle_pixels(5)
-    with pytest.raises(vio.CountMismatch, match="declared count"):
+    with pytest.raises(vio.CountMismatch, match="exact count"):
         b"".join(vio.stream([pts], "ply-ascii", len(pts) + 1))
     for fmt in vio.FORMATS:
-        with pytest.raises(vio.CountMismatch, match="declared count"):
+        with pytest.raises(vio.CountMismatch, match="exact count"):
             b"".join(vio.stream([pts[:3], pts[3:]], fmt, len(pts) - 1))
     # the block that overshoots the count is refused before any of its rows
     chunks = []
@@ -317,7 +317,7 @@ def test_generate_with_rows_off_its_count_exits_4(monkeypatch, capsys, tmp_path,
     monkeypatch.setattr(sphere, "_lifted", _off_by_one(sphere._lifted, extra))
     argv = ["generate", "sphere-complete", "-r", "7", "--format", fmt]
     error = ("error: sphere-complete -r 7: the blocks hold "
-             + ("at least 539" if extra else "537") + " rows against a declared count of 538\n")
+             + ("at least 539" if extra else "537") + " rows against an exact count of 538\n")
     (tmp_path / "old").write_bytes(b"old content\n")
     for out in (tmp_path / "new", tmp_path / "old"):
         rc, stdout, err = run_cli(capsys, *argv, "--out", str(out))

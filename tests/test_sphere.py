@@ -275,10 +275,10 @@ def test_family_covers_octant_absentees_and_no_surface_voxel(r):
     (sphere.completed_sphere_blocks, sphere.completed_sphere_count, 600),
     (sphere.sphere_absentee_blocks, sphere.sphere_absentee_count, 1000)])
 def test_sphere_blocks_keep_a_small_working_set(blocks_of, count_of, r):
-    """Consumed block by block, a streamed sphere holds one classified slab
-    of the plane and one block at a time: tracemalloc peaks measured at 4.3
-    and 7.0 MiB (58.8 and 32.1 MiB while circle._plane held the whole
-    classified plane), and must stay under 16 MiB."""
+    """Consumed block by block, a streamed sphere holds one classified run
+    of columns of the plane and one block at a time: tracemalloc peaks
+    measured at 4.7 and 3.0 MiB (58.8 and 32.1 MiB while circle._plane held
+    the whole classified plane), and must stay under 16 MiB."""
     tracemalloc.start()
     try:
         rows = sum(len(block) for block in blocks_of(r))
