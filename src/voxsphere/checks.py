@@ -30,8 +30,12 @@ checks read them.  A check of a public function calls that function itself
 (solid.solid_absentee_count, solid.coverage_holes).  A suite called on its
 own gets a fresh memo.  A check names each builder by its module attribute
 at the time of the call (circle.disc_absentees, not a reference captured at
-import), and nothing is kept between runs, so a builder replaced between
-runs is the one the next run checks.  The memo's arrays are read-only.
+import), and no build is kept between runs, so a builder replaced between
+runs is the one the next run checks.  The memo's arrays are read-only.  What
+outlives a run is kernels.row_extents's own memo, the row runs of C(r) for
+each radius, a pure function of r kept read-only within 256 KiB per process:
+every builder still runs on every call, and of 1149 reads of the runs in
+``run("all", 32)``, 63 compute them.
 
 The memo keeps no 3-D set: the hemisphere, sphere and solid species sets of
 a radius are built by the step of the radius loop that reads them and
@@ -322,9 +326,8 @@ def _species_partition(av: np.ndarray, r: int) -> bool:
     radius-r solid, into the tabulated line and circle counts."""
     # one predicate call per class, weighted by its size (module docstring)
     ik = np.abs(av[:, [0, 2]])
-    cls, size = np.unique(
-        np.stack([ik.max(axis=1), np.abs(av[:, 1]), ik.min(axis=1)], axis=1),
-        axis=0, return_counts=True)
+    cls, size = canonicalize(
+        np.stack([ik.max(axis=1), np.abs(av[:, 1]), ik.min(axis=1)], axis=1), counts=True)
     nline = ncirc = 0
     for v, c in zip(cls.tolist(), size.tolist()):
         nline += c * solid.is_absentee_line_voxel(v)

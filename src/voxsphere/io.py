@@ -102,8 +102,9 @@ def _ascii_rows(pts: np.ndarray, sep: str) -> Iterator[bytes]:
         grid = np.empty(ndig.shape + (w + 1,), dtype=np.uint8)
         grid[:, :, 0] = ord("-")
         for col in range(w - 1, 0, -1):
-            grid[:, :, col] = mag % 10 + ord("0")
-            mag //= 10
+            q = mag // 10
+            grid[:, :, col] = mag - 10 * q + ord("0")  # mag % 10: % is about 10x slower
+            mag = q
         grid[:, :-1, w] = ord(sep)
         grid[:, -1, w] = ord("\n")
         # row d of the table: the columns a field of d digits keeps

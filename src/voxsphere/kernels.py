@@ -43,6 +43,14 @@ reads it the other way round, as the gap total cnt[0..r-1].sum() = |D(r)| -
 csz[0..r].sum(), with no sweep at all (surface_totals).  Only the solid
 rows, which weight each cnt[w] and circ[w] separately, need gap_tallies.
 
+row_extents is the one source of the runs, and it computes each radius once
+per process: its (first, last) arrays are read-only and kept by radius while
+the kept arrays hold at most _MEMO_BYTES (256 KiB), the oldest dropped
+first.  The counts and the builders of one radius all read the same pair, and
+verify, which rebuilds hundreds of small sets at r <= 32, computes about 60
+pairs in place of about 1150.  A pair over the budget (r >= 16384) is
+returned but not kept, so a process never holds more than the budget for it.
+
 The counts work on octant rows: pairs (r, j) of a radius and a row j >= 1
 whose pixels (x, j) with 0 <= x <= j are counted and then multiplied out by
 the eight-fold symmetry.  gap_tallies is the one sweep over them, about
@@ -79,10 +87,39 @@ def _ceil_sqrt(a: np.ndarray) -> np.ndarray:
     return q + (q * q < a)
 
 
+# bytes of (first, last) arrays that row_extents keeps per process
+_MEMO_BYTES = 1 << 18
+_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # oldest first
+_memo_bytes = 0
+
+
 def row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
     """(first, last) abscissas of C(r) on the rows j = 0..r: quadrant row j
     is the run first..last, the shallow x <= j with c - j <= x^2 < c + j
-    (c = r^2 - j^2), then the steep x > j, if any; row 0 is x = r alone."""
+    (c = r^2 - j^2), then the steep x > j, if any; row 0 is x = r alone.
+
+    The arrays are read-only and may be shared: each radius is computed
+    once and kept, by int(r), while the kept arrays fit in _MEMO_BYTES,
+    the oldest dropped first; a pair larger than that is not kept."""
+    global _memo_bytes
+    r = int(r)
+    out = _memo.get(r)
+    if out is None:
+        out = _row_extents(r)
+        for a in out:
+            a.flags.writeable = False
+        size = out[0].nbytes + out[1].nbytes
+        if size <= _MEMO_BYTES:
+            while _memo_bytes + size > _MEMO_BYTES:
+                first, last = _memo.pop(next(iter(_memo)))
+                _memo_bytes -= first.nbytes + last.nbytes
+            _memo[r] = out
+            _memo_bytes += size
+    return out
+
+
+def _row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """row_extents(r), computed."""
     if r < 0:
         raise ValueError("radius must be non-negative")
     j = np.arange(r + 1, dtype=INT)

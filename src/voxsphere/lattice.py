@@ -149,8 +149,10 @@ def symmetric_octet(a: int, b: int) -> np.ndarray:
     return np.array(sorted(pts), dtype=INT)
 
 
-def canonicalize(points: np.ndarray) -> np.ndarray:
-    """Deduplicate and lexicographically sort an (N, k) point array.
+def canonicalize(points: np.ndarray, counts: bool = False):
+    """Deduplicate and lexicographically sort an (N, k) point array; with
+    counts, also return how many rows of points each result row stands for
+    (its run length among the sorted rows).
 
     Each row is packed into one int64 mixed-radix key: column c, shifted by
     its minimum lo_c, is a digit of radix span_c = max_c - lo_c + 1, the
@@ -164,7 +166,8 @@ def canonicalize(points: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(points, dtype=INT)
     if arr.size == 0:
-        return arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 2)
+        out = arr.reshape(0, arr.shape[1] if arr.ndim == 2 else 2)
+        return (out, np.zeros(0, INT)) if counts else out
     if arr.ndim != 2:
         raise ValueError("expected an (N, k) point array")
     cols = arr.T  # one strided column at a time: min(axis=0) is much slower
@@ -175,22 +178,23 @@ def canonicalize(points: np.ndarray) -> np.ndarray:
         keep = np.empty(len(arr), dtype=bool)
         keep[0] = True
         np.any(arr[1:] != arr[:-1], axis=1, out=keep[1:])
-        return arr[keep]
-    key = arr[:, 0] - lo[0]  # every partial key below stays under 2^63
-    for c in range(1, len(spans)):
-        key *= spans[c]
-        key += arr[:, c] - lo[c]
-    key.sort()
-    keep = np.empty(len(key), dtype=bool)
-    keep[0] = True
-    np.not_equal(key[1:], key[:-1], out=keep[1:])
-    key = key[keep]
-    out = np.empty((len(key), len(spans)), dtype=INT)
-    for c in range(len(spans) - 1, 0, -1):
-        key, out[:, c] = np.divmod(key, spans[c])
-        out[:, c] += lo[c]
-    out[:, 0] = key + lo[0]
-    return out
+        out = arr[keep]
+    else:
+        key = arr[:, 0] - lo[0]  # every partial key below stays under 2^63
+        for c in range(1, len(spans)):
+            key *= spans[c]
+            key += arr[:, c] - lo[c]
+        key.sort()
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+        out = np.empty((len(key), len(spans)), dtype=INT)
+        for c in range(len(spans) - 1, 0, -1):
+            key, out[:, c] = np.divmod(key, spans[c])
+            out[:, c] += lo[c]
+        out[:, 0] = key + lo[0]
+    return (out, np.diff(np.flatnonzero(keep), append=len(keep))) if counts else out
 
 
 class IntegerInterval:

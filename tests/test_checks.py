@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxsphere import analysis, checks, circle, cli, solid, sphere
+from voxsphere import analysis, checks, circle, cli, kernels, solid, sphere
 from voxsphere.lattice import canonicalize, on_digital_circle
 
 # sha256 of the stdout of `verify --suite all --max-r 32`, recorded before
@@ -82,6 +82,19 @@ def test_run_builds_each_set_once(monkeypatch):
     assert set(calls["circle_pixels"]) == set(range(21))
     assert max(calls["circle_pixels"].values()) <= 2
     assert calls["iter_octant_absentees"] == Counter(range(20))
+
+
+def test_run_computes_each_row_extent_once(monkeypatch):
+    """The builders and count rows of one run read the row runs of each
+    radius from kernels.row_extents, which computes each radius once: 63
+    radii for all three suites at --max-r 32 (1149 computations when every
+    read computed its own)."""
+    monkeypatch.setattr(kernels, "_memo", {})
+    monkeypatch.setattr(kernels, "_memo_bytes", 0)
+    body, computed = kernels._row_extents, Counter()
+    monkeypatch.setattr(kernels, "_row_extents", lambda r: computed.update([r]) or body(r))
+    assert all(c.passed or not c.gating for c in checks.run("all", 32))
+    assert len(computed) == 63 and set(computed.values()) == {1}
 
 
 def test_memo_holds_read_only_builds():

@@ -306,3 +306,54 @@ def test_tables_grow_by_extension(monkeypatch):
                 s, total - lines - circles, lines + circles, total)
         assert len(calls) == 2 and tables.rmax == r
         prev = r
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """row_extents with nothing kept yet; the process's memo is put back after."""
+    monkeypatch.setattr(kernels, "_memo", {})
+    monkeypatch.setattr(kernels, "_memo_bytes", 0)
+
+
+def _kept_bytes():
+    return sum(a.nbytes + b.nbytes for a, b in kernels._memo.values())
+
+
+def test_row_extents_serves_kept_read_only_arrays(empty_memo):
+    for r in (0, 1, 2, 37, 1000, 16383):
+        first, last = kernels.row_extents(r)
+        fresh = kernels._row_extents(r)
+        assert np.array_equal(first, fresh[0]) and np.array_equal(last, fresh[1])
+        assert not first.flags.writeable and not last.flags.writeable
+        with pytest.raises(ValueError):
+            last[0] = -1
+        again = kernels.row_extents(np.int64(r))  # kept by int(r)
+        assert again[0] is first and again[1] is last
+    assert kernels._memo_bytes == _kept_bytes()
+
+
+def test_row_extents_of_a_negative_radius_raises_and_keeps_nothing(empty_memo):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="non-negative"):
+            kernels.row_extents(-1)
+    assert kernels._memo == {} and kernels._memo_bytes == 0
+
+
+def test_row_extents_keeps_at_most_its_byte_budget(empty_memo, monkeypatch):
+    """A pair over the budget is returned read-only but not kept; a sweep
+    that keeps every pair it can drops the oldest and never holds more than
+    256 KiB.  The sweep computes zeros of the kernel's sizes: what is kept
+    depends on the sizes only, and the kernel itself would take seconds."""
+    assert kernels._MEMO_BYTES == 256 * 1024
+    first, last = kernels.row_extents(10**6)
+    assert first.size == last.size == 10**6 + 1 and not last.flags.writeable
+    assert kernels._memo == {}
+    monkeypatch.setattr(kernels, "_row_extents", lambda r: np.zeros((2, r + 1), np.int64))
+    for r in range(20001):
+        kernels.row_extents(r)
+        assert kernels._memo_bytes <= kernels._MEMO_BYTES
+        if r % 100 == 0:
+            assert kernels._memo_bytes == _kept_bytes()
+    assert kernels._memo_bytes == _kept_bytes()
+    # 16383 is the largest radius whose pair, 16 (r + 1) bytes, fits
+    assert list(kernels._memo) == [16383]

@@ -187,6 +187,18 @@ def test_canonicalize_dedupes_and_sorts():
     assert empty.shape == (0, 3)
 
 
+@pytest.mark.parametrize("hi", [3, 2**62])  # the int64 keys, then the lexsort
+def test_canonicalize_counts_are_run_lengths(hi):
+    rng = np.random.default_rng(hi)
+    arr = rng.integers(-hi, hi, (2000, 3))
+    arr[1000:] = arr[:1000]  # every row at least twice
+    out, counts = canonicalize(arr, counts=True)
+    want, want_counts = np.unique(arr, axis=0, return_counts=True)
+    assert np.array_equal(out, want) and np.array_equal(counts, want_counts)
+    out, counts = canonicalize(np.zeros((0, 3), dtype=np.int64), counts=True)
+    assert out.shape == (0, 3) and counts.shape == (0,)
+
+
 def test_integer_interval():
     iv = IntegerInterval(3, 7)
     assert 3 in iv and 6 in iv and 7 not in iv and 2 not in iv
