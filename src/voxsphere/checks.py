@@ -24,8 +24,7 @@ exact because the oracle is constant on each class:
 
 One run of the suites (``run``) shares one memo, a Memo created by the call
 and dropped when it returns: every disc gap set and count-table row the
-checks read through it is built once per radius, and the witness
-enumeration of plane-placement once per witness, whichever suites and
+checks read through it is built once per radius, whichever suites and
 checks read them.  A check of a public function calls that function itself
 (solid.solid_absentee_count, solid.coverage_holes).  A suite called on its
 own gets a fresh memo.  A check names each builder by its module attribute
@@ -37,14 +36,18 @@ each radius, a pure function of r kept read-only within 256 KiB per process:
 every builder still runs on every call, and of 1149 reads of the runs in
 ``run("all", 32)``, 63 compute them.
 
-The memo keeps no 3-D set: the hemisphere, sphere and solid species sets of
-a radius are built by the step of the radius loop that reads them and
-dropped after it, so a run holds at most one radius's 3-D sets at a time,
-and membership-predicate hands its box to the predicate in slabs of
-_BOX_SLAB voxels.  A builder whose x-blocks disagree with its exact count
-raises io.CountMismatch; the checks that read its set report that as a
-failure (streamed-vs-materialized for the sphere and solid sets) rather
-than stopping the run.
+Every per-radius gating check runs through one sweep (_sweep): a step
+called on ascending radii with the checks still passing whose radii hold
+it, so a check stops at its first failing radius.  Checks that read the
+same sets share a step (the sphere gap-set checks; the solid's two species
+checks), and each other check has a step of its own.  A builder whose
+x-blocks disagree with its exact count raises io.CountMismatch, and that
+fails exactly the checks of the step that raised it, rather than stopping
+the run.  The memo keeps no 3-D set: the hemisphere, sphere and solid
+species sets of a radius are built by the step that reads them and dropped
+after it, so a run holds at most one radius's 3-D sets at a time, and
+membership-predicate hands its box to the predicate in slabs of _BOX_SLAB
+voxels.
 
 cover-identity grows the union of the circles by one ring per radius:
 u_r = canonicalize(u_(r-1) concatenated with C(r)) is C(0) | ... | C(r)
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import INT, canonicalize, on_digital_circle, symmetric_octet
+from .lattice import INT, canonicalize, on_digital_circle
 from . import analysis, circle, io, solid, sphere
 
 
@@ -109,70 +112,61 @@ def _sign_swap_images(pts: np.ndarray) -> np.ndarray:
 _BOX_SLAB = 1 << 15
 
 
-def _octant_images(w: int) -> int:
-    """Number of gap pixels of witness w: the sign/swap images of its octant
-    enumeration."""
-    return sum(len(symmetric_octet(a, b)) for a, b in circle.iter_octant_absentees(w))
-
-
-def _disc_absentees(memo: Memo, r: int) -> np.ndarray | None:
-    """circle.disc_absentees(r) through the memo, or None when its x-blocks
-    disagree with their exact count."""
-    try:
-        return memo(circle.disc_absentees, r)
-    except io.CountMismatch:
-        return None
+def _sweep(radii: dict[str, range], step) -> dict[str, bool]:
+    """Whether each named check passes at all of its radii.  step(r, names)
+    runs on ascending r with names the checks still passing whose radii hold
+    r, and returns {name: passed} for them; an io.CountMismatch it raises
+    fails every check of names (module docstring)."""
+    ok = dict.fromkeys(radii, True)
+    for r in sorted(set().union(*radii.values())):
+        names = [name for name in radii if ok[name] and r in radii[name]]
+        if names:
+            try:
+                ok.update(step(r, names))
+            except io.CountMismatch:
+                ok.update(dict.fromkeys(names, False))
+    return ok
 
 
 def check_disc(max_r: int, memo: Memo | None = None) -> list[CheckResult]:
     memo = Memo() if memo is None else memo
-    results = []
-
-    rmax = min(max_r, 64)
-    ok = True
+    caps = {"cover": min(max_r, 64), "definition": min(max_r, 48), "tallies": min(max_r, 128)}
     u = np.zeros((0, 2), dtype=INT)
-    for r in range(rmax + 1):
+
+    def cover(r, _):
+        nonlocal u
         # C(0) | ... | C(r), one new ring per radius (module docstring)
         u = canonicalize(np.concatenate([u, circle.circle_pixels(r)]))
-        a = _disc_absentees(memo, r)
-        if a is None:
-            ok = False
-            break
+        a = memo(circle.disc_absentees, r)
         ua = canonicalize(np.concatenate([u, a]))
         # no point is lost to deduplication exactly when u and a are disjoint
-        if (len(u) + len(canonicalize(a)) != len(ua)
-                or not _same_set(ua, circle.disc_pixels(r))):
-            ok = False
-            break
-    results.append(CheckResult(
-        "disc", "cover-identity", ok,
-        f"disc = circles + gaps, disjoint, r <= {rmax}"))
+        return {"cover": len(u) + len(canonicalize(a)) == len(ua)
+                and _same_set(ua, circle.disc_pixels(r))}
 
-    rmax = min(max_r, 48)
-    ok = True
-    for r in range(rmax + 1):
-        got = circle.circle_pixels(r)
+    def definition(r, _):
         n = r + 2  # the box [-n, n]^2, through its octant (module docstring)
         octant = [(a, b) for a in range(n + 1) for b in range(a + 1)
                   if on_digital_circle(r, a, b)]
         want = _sign_swap_images(np.array(octant, dtype=INT).reshape(-1, 2))
-        if not _same_set(got, want):
-            ok = False
-            break
-    results.append(CheckResult(
-        "disc", "circle-definition", ok,
-        f"constructed rings match the membership predicate, r <= {rmax}"))
+        return {"definition": _same_set(circle.circle_pixels(r), want)}
 
-    rmax = min(max_r, 128)
-    ok = True
-    for r in range(0, rmax + 1, max(1, rmax // 16)):
-        a = _disc_absentees(memo, r)
-        if a is None or analysis.enumerated_disc_absentee_count(r) != len(a):
-            ok = False
-            break
+    def tallies(r, _):
+        return {"tallies": analysis.enumerated_disc_absentee_count(r)
+                == len(memo(circle.disc_absentees, r))}
+
+    ok = {**_sweep({"cover": range(caps["cover"] + 1)}, cover),
+          **_sweep({"definition": range(caps["definition"] + 1)}, definition),
+          **_sweep({"tallies": range(0, caps["tallies"] + 1, max(1, caps["tallies"] // 16))},
+                   tallies)}
+    results = [CheckResult(
+        "disc", "cover-identity", ok["cover"],
+        f"disc = circles + gaps, disjoint, r <= {caps['cover']}")]
     results.append(CheckResult(
-        "disc", "gap-tallies", ok,
-        f"closed tallies match enumerated gap pixels, sampled r <= {rmax}"))
+        "disc", "circle-definition", ok["definition"],
+        f"constructed rings match the membership predicate, r <= {caps['definition']}"))
+    results.append(CheckResult(
+        "disc", "gap-tallies", ok["tallies"],
+        f"closed tallies match enumerated gap pixels, sampled r <= {caps['tallies']}"))
 
     report = analysis.compare_closed_form(min(max_r, 128))
     mismatches = [row for row in report if not row[3]]
@@ -187,52 +181,42 @@ def check_disc(max_r: int, memo: Memo | None = None) -> list[CheckResult]:
     return results
 
 
-def _check_sphere_radius(r: int, todo: set[str], ok: dict[str, bool], memo: Memo) -> None:
-    """The radius-r step of check_sphere's gap-set checks in todo, each
-    recording into ok."""
-    av = sphere.hemisphere_absentees(r)
-    both = sphere.sphere_absentees(r)
-    if "materialized" in todo:
-        row = memo(analysis.sphere_count_row, r)
-        ok["materialized"] = (sphere.sphere_voxels(r).shape[0] == row.primitive
-                              and both.shape[0] == row.absentee
-                              and sphere.completed_sphere_voxels(r).shape[0] == row.total)
-    if "projection" in todo:
-        proj = canonicalize(av[:, [0, 2]])
-        ok["projection"] = (len(proj) == av.shape[0]
-                            and _same_set(proj, memo(circle.disc_absentees, r)))
-    if "equator" in todo:
-        ok["equator"] = (not av.shape[0] or int(av[:, 1].min()) >= 1) \
-            and both.shape[0] == 2 * av.shape[0]
-    if "predicate" in todo:
-        # the box [-n, n]^3 in canonical order, _BOX_SLAB voxels per call
-        n = r + 2
-        side = 2 * n + 1
-        hits = []
-        for a in range(0, side ** 3, _BOX_SLAB):
-            index = np.arange(a, min(a + _BOX_SLAB, side ** 3), dtype=INT)
-            vox = np.stack(np.unravel_index(index, (side,) * 3), axis=1) - n
-            hits.append(vox[sphere.is_sphere_absentee_many(vox, r)])
-        ok["predicate"] = _same_set(np.concatenate(hits), both)
-
-
 def check_sphere(max_r: int, long: bool = False,
                  memo: Memo | None = None) -> list[CheckResult]:
     memo = Memo() if memo is None else memo
-    # One pass builds each radius's gap sets once and feeds every check
-    # whose range covers it; a check stops at its first failing radius.
     caps = {name: min(max_r, cap) for name, cap in
             (("materialized", 32), ("projection", 64), ("equator", 128), ("predicate", 16))}
-    ok = dict.fromkeys(caps, True)
-    for r in range(max(caps.values()) + 1):
-        todo = {name for name in caps if ok[name] and r <= caps[name]}
-        if not todo:
-            break
-        try:
-            _check_sphere_radius(r, todo, ok, memo)
-        except io.CountMismatch:
-            ok.update(dict.fromkeys(todo | {"materialized"}, False))
 
+    def step(r, names):
+        """The gap-set checks of names at radius r, from one build of each set."""
+        av = sphere.hemisphere_absentees(r)
+        both = sphere.sphere_absentees(r)
+        ok = {}
+        if "materialized" in names:
+            row = memo(analysis.sphere_count_row, r)
+            ok["materialized"] = (sphere.sphere_voxels(r).shape[0] == row.primitive
+                                  and both.shape[0] == row.absentee
+                                  and sphere.completed_sphere_voxels(r).shape[0] == row.total)
+        if "projection" in names:
+            proj = canonicalize(av[:, [0, 2]])
+            ok["projection"] = (len(proj) == av.shape[0]
+                                and _same_set(proj, memo(circle.disc_absentees, r)))
+        if "equator" in names:
+            ok["equator"] = (not av.shape[0] or int(av[:, 1].min()) >= 1) \
+                and both.shape[0] == 2 * av.shape[0]
+        if "predicate" in names:
+            # the box [-n, n]^3 in canonical order, _BOX_SLAB voxels per call
+            n = r + 2
+            side = 2 * n + 1
+            hits = []
+            for a in range(0, side ** 3, _BOX_SLAB):
+                index = np.arange(a, min(a + _BOX_SLAB, side ** 3), dtype=INT)
+                vox = np.stack(np.unravel_index(index, (side,) * 3), axis=1) - n
+                hits.append(vox[sphere.is_sphere_absentee_many(vox, r)])
+            ok["predicate"] = _same_set(np.concatenate(hits), both)
+        return ok
+
+    ok = _sweep({name: range(cap + 1) for name, cap in caps.items()}, step)
     results = [CheckResult(
         "sphere", "streamed-vs-materialized", ok["materialized"],
         f"closed counts match materialized sets, r <= {caps['materialized']}")]
@@ -246,6 +230,8 @@ def check_sphere(max_r: int, long: bool = False,
     # convention moves: counts and zx-projections never change, only the
     # plane coordinate of the affected octets.
     rmax = min(max_r, 64)
+    # the gap pixels of witness w, from the sweep table
+    gaps = np.diff([analysis.enumerated_disc_absentee_count(r) for r in range(rmax + 1)]).tolist()
     first = {"leading": 0, "trailing": 0}
     steps = {"leading": 0, "trailing": 0}
     voxels = {"leading": 0, "trailing": 0}
@@ -256,7 +242,7 @@ def check_sphere(max_r: int, long: bool = False,
                 continue
             w = int(x0)
             j = sphere.gap_plane(r, w)
-            n = memo(_octant_images, w)
+            n = gaps[w]
             if not n:
                 continue
             for name, alt in (("leading", int(j1)), ("trailing", int(j0))):
@@ -339,45 +325,36 @@ def _species_partition(av: np.ndarray, r: int) -> bool:
 def check_solid(max_r: int, long: bool = False,
                 memo: Memo | None = None) -> list[CheckResult]:
     memo = Memo() if memo is None else memo
-    # one pass builds each radius's species set once, as in check_sphere
     caps = {name: min(max_r, cap) for name, cap in (("materialized", 24), ("species", 16))}
-    ok = dict.fromkeys(caps, True)
-    for r in range(max(caps.values()) + 1):
-        todo = {name for name in caps if ok[name] and r <= caps[name]}
-        if not todo:
-            break
-        try:
-            av = solid.solid_absentee_voxels(r)  # read by this radius only
-            if "materialized" in todo:
-                ok["materialized"] = (av.shape[0] == solid.solid_absentee_count(r)
-                                      and solid.completed_solid_voxels(r).shape[0]
-                                      == solid.completed_solid_count(r))
-        except io.CountMismatch:
-            ok.update(dict.fromkeys(todo | {"materialized"}, False))
-            continue
-        if "species" in todo:
-            ok["species"] = _species_partition(av, r)
 
+    def step(r, names):
+        """The species-set checks of names at radius r, from one build of the set."""
+        av = solid.solid_absentee_voxels(r)  # read by this radius only
+        ok = {}
+        if "materialized" in names:
+            ok["materialized"] = (av.shape[0] == solid.solid_absentee_count(r)
+                                  and solid.completed_solid_voxels(r).shape[0]
+                                  == solid.completed_solid_count(r))
+        if "species" in names:
+            ok["species"] = _species_partition(av, r)
+        return ok
+
+    def counts(r, _):
+        n_ad = len(memo(circle.disc_absentees, r))
+        return {"counts": solid.absentee_line_count(r) == n_ad and n_ad % 4 == 0
+                and solid.absentee_circle_count(r) == n_ad // 4}
+
+    rmax = min(max_r, 64)
+    ok = {**_sweep({name: range(cap + 1) for name, cap in caps.items()}, step),
+          **_sweep({"counts": range(rmax + 1)}, counts)}
     results = [CheckResult(
         "solid", "streamed-vs-materialized", ok["materialized"],
         f"closed counts match materialized sets, r <= {caps['materialized']}")]
     results.append(CheckResult(
         "solid", "species-partition", ok["species"],
         f"every absentee voxel is exactly one species, r <= {caps['species']}"))
-
-    rmax = min(max_r, 64)
-    ok = True
-    for r in range(rmax + 1):
-        a = _disc_absentees(memo, r)
-        if a is None or solid.absentee_line_count(r) != len(a):
-            ok = False
-            break
-        n_ad = len(a)
-        if n_ad % 4 != 0 or solid.absentee_circle_count(r) != n_ad // 4:
-            ok = False
-            break
     results.append(CheckResult(
-        "solid", "object-counts", ok,
+        "solid", "object-counts", ok["counts"],
         f"lines = gap pixels, circles = gap pixels / 4 per hemisphere, r <= {rmax}"))
 
     ref = analysis.reference_counts("solid")

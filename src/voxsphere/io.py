@@ -9,16 +9,17 @@ Three formats, all ASCII and byte-deterministic for a given set:
 * ``ply-ascii`` -- standard ASCII PLY point cloud with integer x/y/z vertex
   properties; pixel sets are embedded at z = 0 since PLY has no 2D form.
 
-``stream`` yields an export as bytes chunks, from an iterable of point
-blocks that it reads one block at a time, and checks their rows against an
-exact count in every format through ``counted``, the one count check,
-which the array builders read too (circle._joined); ``emit`` joins the
-chunks of one array.  Rows are converted from int64 with numpy in
-fixed-size chunks; no Python object is made per row.  One pass per chunk
-counts each field's digits, by comparing its magnitude with the powers of
-ten up to the chunk's largest, writes the digits (in 32-bit arithmetic
-when every magnitude is below 10^9) and keeps each field's own columns
-through a mask looked up by digit count.
+``stream`` yields an export as bytes-like chunks (the header as bytes,
+the rows as uint8 arrays, which are written without a copy), from an
+iterable of point blocks that it reads one block at a time, and checks
+their rows against an exact count in every format through ``counted``, the
+one count check, which the array builders read too (circle._joined);
+``emit`` joins the chunks of one array.  Rows are converted from int64
+with numpy in fixed-size chunks; no Python object is made per row.  One
+pass per chunk counts each field's digits, by comparing its magnitude with
+the powers of ten up to the chunk's largest, writes the digits (in 32-bit
+arithmetic when every magnitude is below 10^9) and keeps each field's own
+columns through a mask looked up by digit count.
 
 Canonical blocks whose first coordinates fill disjoint, ascending ranges
 concatenate to a canonical array: every row of a block has a smaller first
@@ -85,9 +86,9 @@ def _fields(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mag, neg, ndig
 
 
-def _ascii_rows(pts: np.ndarray, sep: str) -> Iterator[bytes]:
+def _ascii_rows(pts: np.ndarray, sep: str) -> Iterator[np.ndarray]:
     """One ASCII line per row of pts, decimal fields joined by sep and each
-    line ending in LF, as one bytes chunk per _CHUNK_ROWS rows.
+    line ending in LF, as one uint8 array per _CHUNK_ROWS rows.
 
     Each chunk lays its fields out in a (rows, k, 1 + digits + 1) grid -- a
     '-' column, the digits right-aligned, then sep or LF -- and a mask, one
@@ -110,7 +111,7 @@ def _ascii_rows(pts: np.ndarray, sep: str) -> Iterator[bytes]:
         # row d of the table: the columns a field of d digits keeps
         keep = np.take(np.arange(w + 1) >= w - np.arange(w)[:, None], ndig, axis=0)
         keep[:, :, 0] = neg
-        yield grid[keep].tobytes()
+        yield grid[keep]
 
 
 def _head(fmt: str, width: int, count: int) -> str:
@@ -127,9 +128,9 @@ def _head(fmt: str, width: int, count: int) -> str:
             "end_header\n")
 
 
-def stream(blocks: Iterable[np.ndarray], fmt: str, count: int) -> Iterator[bytes]:
-    """The export of the concatenation of blocks, as byte chunks: the header,
-    then every block's rows, _CHUNK_ROWS at a time.
+def stream(blocks: Iterable[np.ndarray], fmt: str, count: int) -> Iterator[bytes | np.ndarray]:
+    """The export of the concatenation of blocks, as bytes-like chunks: the
+    header, then every block's rows, _CHUNK_ROWS at a time.
 
     blocks holds at least one array, all of one width, and is read one block
     at a time, so the chunks can go to a file while later blocks are still
@@ -143,7 +144,7 @@ def stream(blocks: Iterable[np.ndarray], fmt: str, count: int) -> Iterator[bytes
     return _stream(counted(blocks, count), fmt, count)
 
 
-def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int) -> Iterator[bytes]:
+def _stream(blocks: Iterator[np.ndarray], fmt: str, count: int) -> Iterator[bytes | np.ndarray]:
     first = _as_points(next(blocks))
     width = first.shape[1]
     yield _head(fmt, width, count).encode("ascii")
@@ -177,9 +178,9 @@ def emit(vox: np.ndarray, fmt: str) -> bytes:
     return b"".join(stream([pts], fmt, len(pts)))
 
 
-def write_text(text: str | bytes | Iterable[bytes], out: str | None) -> None:
+def write_text(text: str | bytes | Iterable[bytes | np.ndarray], out: str | None) -> None:
     """Write to a path atomically (temp file + rename), or to stdout when
-    out is None.  text is a str, bytes, or an iterable of bytes chunks
+    out is None.  text is a str, bytes, or an iterable of bytes-like chunks
     (stream), each written as it comes; bytes go out as they are, in binary
     mode.  Should the iterable raise, the temp file is removed and out, if
     it exists, keeps its old content."""

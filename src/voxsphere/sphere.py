@@ -46,8 +46,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, circle, kernels
-from .lattice import (COORD_MAX, INT, absentee_witness, canonicalize, classify_many, isqrt,
-                      runs, symmetric_octet)
+from .lattice import (COORD_MAX, INT, absentee_witness, canonicalize, classify_many,
+                      exact_isqrt_many, isqrt, runs, symmetric_octet)
 
 
 def generatrix(r: int) -> np.ndarray:
@@ -72,7 +72,7 @@ def _profile(r: int, rings: bool = True, gaps: bool = True, lower: bool = True) 
     """The completed sphere's profile (module docstring), with the rows of
     the rings, of the gaps and below the equator only as asked."""
     first, last = kernels.row_extents(r)
-    planes = np.array([gap_plane(r, w) for w in range(r)], dtype=INT)
+    planes = _gap_planes(r, np.arange(r, dtype=INT))
     lo, hi = np.empty((2, 2 * r + 1), dtype=INT)
     lo[0::2], lo[1::2] = first, planes
     hi[0::2], hi[1::2] = last, planes
@@ -80,6 +80,15 @@ def _profile(r: int, rings: bool = True, gaps: bool = True, lower: bool = True) 
     s = np.repeat(np.arange(2 * r + 1, dtype=INT), n)
     keep = np.array([rings, gaps])[s % 2] & ((y >= 0) | lower)
     return np.stack([s[keep], y[keep]], axis=1)
+
+
+def _gap_planes(r: int, w: np.ndarray) -> np.ndarray:
+    """gap_plane(r, w) for each witness of w (0 <= w < r); r * r past int64
+    raises OverflowError."""
+    c = r * r - w * w
+    j = exact_isqrt_many(c)
+    j += j * (j + 1) < c  # j(j - 1) < c <= j(j + 1), from j = isqrt(c)
+    return j
 
 
 def _lifted(r: int, profile: np.ndarray):
@@ -97,9 +106,6 @@ def _lifted_slab(pix: np.ndarray, t: np.ndarray, cut: np.ndarray, y: np.ndarray)
     canonicalized.  A call of its own, so that no temporary of the slab is
     held while the block is written."""
     n = cut[t + 1] - cut[t]
-    live = n > 0
-    if not live.all():  # a gap-only shape lifts few of a slab's pixels
-        pix, t, n = pix[live], t[live], n[live]
     return canonicalize(_lift(pix, y[runs(cut[t], n)], n))
 
 

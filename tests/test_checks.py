@@ -65,9 +65,10 @@ def test_sphere_checks_build_each_set_once_per_radius(monkeypatch, name):
 
 def test_run_builds_each_set_once(monkeypatch):
     """One run of all three suites shares its builds: each disc gap set and
-    solid species set once per radius, at most two rings per radius (one
-    for cover-identity, one for circle-definition), and one octant
-    enumeration per witness for plane-placement."""
+    solid species set once per radius, and at most two rings per radius (one
+    for cover-identity, one for circle-definition).  plane-placement reads
+    the gap pixels of each witness from the sweep table and enumerates no
+    witness."""
     calls = {}
     for module, name in [(circle, "disc_absentees"), (circle, "circle_pixels"),
                          (circle, "iter_octant_absentees"), (solid, "solid_absentee_voxels")]:
@@ -81,7 +82,7 @@ def test_run_builds_each_set_once(monkeypatch):
     assert calls["solid_absentee_voxels"] - Counter({8: 1}) == Counter(range(21))
     assert set(calls["circle_pixels"]) == set(range(21))
     assert max(calls["circle_pixels"].values()) <= 2
-    assert calls["iter_octant_absentees"] == Counter(range(20))
+    assert calls["iter_octant_absentees"] == Counter()
 
 
 def test_run_computes_each_row_extent_once(monkeypatch):
@@ -176,7 +177,15 @@ COUNT_MISMATCHES = [
     (solid, "solid_absentee_blocks", "solid", "streamed-vs-materialized"),
     (solid, "completed_solid_blocks", "solid", "streamed-vs-materialized"),
     (circle, "disc_absentee_blocks", "disc", "cover-identity"),
+    (circle, "disc_blocks", "disc", "cover-identity"),
 ]
+# the checks that still pass there: their steps read no set of that builder
+STILL_PASSING = {
+    "solid_absentee_blocks": ["object-counts"],
+    "completed_solid_blocks": ["object-counts"],
+    "disc_absentee_blocks": ["circle-definition"],
+    "disc_blocks": ["circle-definition", "gap-tallies"],
+}
 
 
 @pytest.mark.parametrize("module, name, suite, check", COUNT_MISMATCHES)
@@ -186,7 +195,24 @@ def test_blocks_off_their_count_fail_verify(capsys, monkeypatch, module, name, s
     monkeypatch.setattr(module, name, _off_by_one(getattr(module, name), extra))
     rc, out = run_verify(capsys, suite, 8)
     assert rc == 1
-    assert any(line.startswith(f"[FAIL] {suite}:{check} ") for line in out.splitlines())
+    lines = out.splitlines()
+    assert any(line.startswith(f"[FAIL] {suite}:{check} ") for line in lines)
+    for other in STILL_PASSING.get(name, []):
+        assert any(line.startswith(f"[PASS] {suite}:{other} ") for line in lines)
+
+
+def test_a_count_fault_fails_only_the_checks_at_its_radius(capsys, monkeypatch):
+    """sphere._lifted off its count for r > 32 only: gap-projection, which
+    runs to r = 40, fails there, while streamed-vs-materialized, whose radii
+    end at 32, shares its step but passes."""
+    lifted, broken = sphere._lifted, _off_by_one(sphere._lifted, False)
+    monkeypatch.setattr(sphere, "_lifted",
+                        lambda r, profile: (broken if r > 32 else lifted)(r, profile))
+    rc, out = run_verify(capsys, "sphere", 40)
+    assert rc == 1
+    lines = out.splitlines()
+    assert any(line.startswith("[FAIL] sphere:gap-projection ") for line in lines)
+    assert any(line.startswith("[PASS] sphere:streamed-vs-materialized ") for line in lines)
 
 
 def _box(r):

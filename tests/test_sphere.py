@@ -176,6 +176,20 @@ def test_gap_plane_closed_form_at_large_radii(r, data):
     assert j >= 1 and j * (j - 1) < q <= j * (j + 1)
 
 
+def test_profile_gap_planes_equal_gap_plane():
+    """The profile's vectorised planes agree with gap_plane at every witness
+    below r = 400, at sampled witnesses up to the last radius whose square
+    fits in int64, and raise past it instead of wrapping."""
+    for r in range(1, 400):
+        assert sphere._gap_planes(r, np.arange(r)).tolist() == [gap_plane(r, w) for w in range(r)]
+    rng = np.random.default_rng(0)
+    for r in (10**6, 1_518_500_000, 3_037_000_499):
+        w = np.concatenate([[0, 1, r - 2, r - 1], rng.integers(0, r, 500)])
+        assert sphere._gap_planes(r, w).tolist() == [gap_plane(r, int(x)) for x in w]
+    with pytest.raises(OverflowError):
+        sphere._gap_planes(3_037_000_500, np.arange(3))
+
+
 def test_predicate_worked_examples():
     assert is_sphere_absentee((2, 9, 4), 10)
     assert not is_sphere_absentee((3, 9, 4), 10)
