@@ -31,10 +31,10 @@ own gets a fresh memo.  A check names each builder by its module attribute
 at the time of the call (circle.disc_absentees, not a reference captured at
 import), and no build is kept between runs, so a builder replaced between
 runs is the one the next run checks.  The memo's arrays are read-only.  What
-outlives a run is kernels.row_extents's own memo, the row runs of C(r) for
-each radius, a pure function of r kept read-only within 256 KiB per process:
-every builder still runs on every call, and of 1149 reads of the runs in
-``run("all", 32)``, 63 compute them.
+outlives a run is kernels.row_extents's own cache, the row runs of C(r), a
+pure function of r kept read-only for r <= 127: every builder still runs on
+every call, and of 1149 reads of the runs in ``run("all", 32)``, 68 compute
+them.
 
 Every per-radius gating check runs through one sweep (_sweep): a step
 called on ascending radii with the checks still passing whose radii hold

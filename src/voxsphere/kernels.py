@@ -43,13 +43,14 @@ reads it the other way round, as the gap total cnt[0..r-1].sum() = |D(r)| -
 csz[0..r].sum(), with no sweep at all (surface_totals).  Only the solid
 rows, which weight each cnt[w] and circ[w] separately, need gap_tallies.
 
-row_extents is the one source of the runs, and it computes each radius once
-per process: its (first, last) arrays are read-only and kept by radius while
-the kept arrays hold at most _MEMO_BYTES (256 KiB), the oldest dropped
-first.  The counts and the builders of one radius all read the same pair, and
-verify, which rebuilds hundreds of small sets at r <= 32, computes about 60
-pairs in place of about 1150.  A pair over the budget (r >= 16384) is
-returned but not kept, so a process never holds more than the budget for it.
+row_extents is the one source of the runs.  Its (first, last) arrays are
+read-only, and it keeps the pairs of the small radii, r <= _KEPT_R (127), for
+the life of the process: at most 2 KiB a pair, and 16 * 128 * 129 / 2 =
+132,096 bytes in all, with no accounting.  verify, which rebuilds hundreds of
+small sets, re-reads those radii: run("all", 32) reads the runs 1149 times
+and computes them 68 times.  A larger pair is computed on each call and
+kept by no one, so the count sweeps, which read each radius once or twice,
+keep nothing past the call.
 
 The counts work on octant rows: pairs (r, j) of a radius and a row j >= 1
 whose pixels (x, j) with 0 <= x <= j are counted and then multiplied out by
@@ -74,6 +75,8 @@ rows k0..k0+3, and csz[r] = 4 * sum - 4 (the axis pixels count twice).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .lattice import INT, exact_isqrt_many, runs
@@ -87,10 +90,7 @@ def _ceil_sqrt(a: np.ndarray) -> np.ndarray:
     return q + (q * q < a)
 
 
-# bytes of (first, last) arrays that row_extents keeps per process
-_MEMO_BYTES = 1 << 18
-_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # oldest first
-_memo_bytes = 0
+_KEPT_R = 127  # row_extents keeps the pairs of the radii 0.._KEPT_R
 
 
 def row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,28 +98,20 @@ def row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
     is the run first..last, the shallow x <= j with c - j <= x^2 < c + j
     (c = r^2 - j^2), then the steep x > j, if any; row 0 is x = r alone.
 
-    The arrays are read-only and may be shared: each radius is computed
-    once and kept, by int(r), while the kept arrays fit in _MEMO_BYTES,
-    the oldest dropped first; a pair larger than that is not kept."""
-    global _memo_bytes
+    The arrays are read-only.  A pair of r <= _KEPT_R is computed once and
+    shared by every call; a larger one is computed on each call."""
     r = int(r)
-    out = _memo.get(r)
-    if out is None:
-        out = _row_extents(r)
-        for a in out:
-            a.flags.writeable = False
-        size = out[0].nbytes + out[1].nbytes
-        if size <= _MEMO_BYTES:
-            while _memo_bytes + size > _MEMO_BYTES:
-                first, last = _memo.pop(next(iter(_memo)))
-                _memo_bytes -= first.nbytes + last.nbytes
-            _memo[r] = out
-            _memo_bytes += size
-    return out
+    return _kept(r) if r <= _KEPT_R else _row_extents(r)
+
+
+@functools.cache
+def _kept(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """row_extents(r) for r <= _KEPT_R, computed once per process."""
+    return _row_extents(r)
 
 
 def _row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """row_extents(r), computed."""
+    """row_extents(r), computed, read-only."""
     if r < 0:
         raise ValueError("radius must be non-negative")
     j = np.arange(r + 1, dtype=INT)
@@ -130,7 +122,10 @@ def _row_extents(r: int) -> tuple[np.ndarray, np.ndarray]:
     # x(x - 1) < c <= x(x + 1), from q = isqrt(c): 4c overflows past r ~ 1.52e9
     x += x * (x + 1) < c
     hi = np.minimum(j, top)
-    return np.where(hi >= lo, lo, x), np.where(x > j, x, hi)
+    out = np.where(hi >= lo, lo, x), np.where(x > j, x, hi)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def using_numba() -> bool:

@@ -118,13 +118,8 @@ def solid_absentee_blocks(r: int):
     w = np.arange(r, dtype=INT)
     h = exact_isqrt_many(w)
     lines = np.stack([np.repeat(2 * w + 1, 2 * h + 1), runs(-h, 2 * h + 1)], axis=1)
-    yield from _lifted(r, _merged(gaps[gaps[:, 0] >= 0] * [2, 1], lines))
-
-
-def _merged(*profiles: np.ndarray) -> np.ndarray:
-    """The rows of profiles together, ascending in s (sphere._lifted)."""
-    rows = np.concatenate(profiles)
-    return rows[np.argsort(rows[:, 0], kind="stable")]
+    circles = gaps[gaps[:, 0] >= 0] * [2, 1]
+    yield from _lifted(r, canonicalize(np.concatenate([circles, lines])))
 
 
 def solid_absentee_count(r: int) -> int:
@@ -161,7 +156,7 @@ def union_blocks(r: int):
     w) rises strictly in s), so no row of the profile repeats."""
     if r < 0:
         raise ValueError("radius must be non-negative")
-    yield from _lifted(r, _merged(*(_profile(s) for s in range(r + 1))))
+    yield from _lifted(r, canonicalize(np.concatenate([_profile(s) for s in range(r + 1)])))
 
 
 def union_count(r: int) -> int:

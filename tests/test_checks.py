@@ -5,6 +5,7 @@ builder is broken in the way the check exists to catch, and the symmetry
 reductions the checks rely on are tested against the scalar predicates.
 """
 
+import functools
 import hashlib
 from collections import Counter
 from decimal import Decimal
@@ -87,15 +88,17 @@ def test_run_builds_each_set_once(monkeypatch):
 
 def test_run_computes_each_row_extent_once(monkeypatch):
     """The builders and count rows of one run read the row runs of each
-    radius from kernels.row_extents, which computes each radius once: 63
-    radii for all three suites at --max-r 32 (1149 computations when every
-    read computed its own)."""
-    monkeypatch.setattr(kernels, "_memo", {})
-    monkeypatch.setattr(kernels, "_memo_bytes", 0)
+    radius from kernels.row_extents, which computes each radius r <= 127
+    once: all three suites at --max-r 32 compute the runs 68 times, once
+    for each of 42 small radii and 26 times for 21 radii past 127 (1149
+    times when every read computed its own)."""
+    monkeypatch.setattr(kernels, "_kept", functools.cache(kernels._kept.__wrapped__))
     body, computed = kernels._row_extents, Counter()
     monkeypatch.setattr(kernels, "_row_extents", lambda r: computed.update([r]) or body(r))
     assert all(c.passed or not c.gating for c in checks.run("all", 32))
-    assert len(computed) == 63 and set(computed.values()) == {1}
+    small = {r: n for r, n in computed.items() if r <= kernels._KEPT_R}
+    assert len(small) == 42 and set(small.values()) == {1}
+    assert len(computed) == 63 and sum(computed.values()) == 68
 
 
 def test_memo_holds_read_only_builds():

@@ -1,5 +1,8 @@
+import functools
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -309,18 +312,35 @@ def test_tables_grow_by_extension(monkeypatch):
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    """row_extents with nothing kept yet; the process's memo is put back after."""
-    monkeypatch.setattr(kernels, "_memo", {})
-    monkeypatch.setattr(kernels, "_memo_bytes", 0)
+def empty_cache(monkeypatch):
+    """row_extents with nothing kept yet; the process's cache is put back after."""
+    monkeypatch.setattr(kernels, "_kept", functools.cache(kernels._kept.__wrapped__))
 
 
-def _kept_bytes():
-    return sum(a.nbytes + b.nbytes for a, b in kernels._memo.values())
+def kept_pairs(monkeypatch, body=kernels._row_extents):
+    """Route row_extents's computations through body and watch them:
+    returns alive(), {r: the arrays computed for r that are still alive
+    after gc.collect()}, that is the ones the process keeps."""
+    computed = {}
+
+    def watched(r):
+        pair = body(r)
+        computed.setdefault(r, []).extend(weakref.ref(a) for a in pair)
+        return pair
+
+    monkeypatch.setattr(kernels, "_row_extents", watched)
+
+    def alive():
+        gc.collect()
+        return {r: [a() for a in refs if a() is not None] for r, refs in computed.items()}
+
+    return alive
 
 
-def test_row_extents_serves_kept_read_only_arrays(empty_memo):
-    for r in (0, 1, 2, 37, 1000, 16383):
+def test_row_extents_serves_kept_read_only_arrays(empty_cache):
+    """A small pair is computed once and the same read-only arrays serve
+    every call, by int(r)."""
+    for r in (0, 1, 2, 37, kernels._KEPT_R):
         first, last = kernels.row_extents(r)
         fresh = kernels._row_extents(r)
         assert np.array_equal(first, fresh[0]) and np.array_equal(last, fresh[1])
@@ -329,31 +349,49 @@ def test_row_extents_serves_kept_read_only_arrays(empty_memo):
             last[0] = -1
         again = kernels.row_extents(np.int64(r))  # kept by int(r)
         assert again[0] is first and again[1] is last
-    assert kernels._memo_bytes == _kept_bytes()
+    assert kernels._kept.cache_info().currsize == 5
 
 
-def test_row_extents_of_a_negative_radius_raises_and_keeps_nothing(empty_memo):
+def test_row_extents_keeps_no_large_pair(empty_cache):
+    """A pair past _KEPT_R equals a fresh computation, is read-only, and is
+    computed anew on each call, kept by no one."""
+    for r in (kernels._KEPT_R + 1, 1000, 16383, 10**6):
+        first, last = kernels.row_extents(r)
+        fresh = kernels._row_extents(r)
+        assert np.array_equal(first, fresh[0]) and np.array_equal(last, fresh[1])
+        assert not first.flags.writeable and not last.flags.writeable
+        again = kernels.row_extents(r)
+        assert again[0] is not first and again[1] is not last
+    assert kernels._kept.cache_info().currsize == 0
+
+
+def test_row_extents_of_a_negative_radius_raises_and_keeps_nothing(empty_cache):
     for _ in range(3):
         with pytest.raises(ValueError, match="non-negative"):
             kernels.row_extents(-1)
-    assert kernels._memo == {} and kernels._memo_bytes == 0
+    assert kernels._kept.cache_info().currsize == 0
 
 
-def test_row_extents_keeps_at_most_its_byte_budget(empty_memo, monkeypatch):
-    """A pair over the budget is returned read-only but not kept; a sweep
-    that keeps every pair it can drops the oldest and never holds more than
-    256 KiB.  The sweep computes zeros of the kernel's sizes: what is kept
-    depends on the sizes only, and the kernel itself would take seconds."""
-    assert kernels._MEMO_BYTES == 256 * 1024
-    first, last = kernels.row_extents(10**6)
-    assert first.size == last.size == 10**6 + 1 and not last.flags.writeable
-    assert kernels._memo == {}
-    monkeypatch.setattr(kernels, "_row_extents", lambda r: np.zeros((2, r + 1), np.int64))
+def test_row_extents_keeps_at_most_its_byte_budget(empty_cache, monkeypatch):
+    """Reading every radius 0..20000 leaves alive the pairs of r <= 127
+    only: 16 (r + 1) bytes each, 132,096 bytes in all.  The sweep computes
+    zeros of the kernel's sizes: what is kept depends on r only, and the
+    kernel itself would take seconds."""
+    alive = kept_pairs(monkeypatch, lambda r: (np.zeros(r + 1, np.int64), np.zeros(r + 1, np.int64)))
     for r in range(20001):
         kernels.row_extents(r)
-        assert kernels._memo_bytes <= kernels._MEMO_BYTES
-        if r % 100 == 0:
-            assert kernels._memo_bytes == _kept_bytes()
-    assert kernels._memo_bytes == _kept_bytes()
-    # 16383 is the largest radius whose pair, 16 (r + 1) bytes, fits
-    assert list(kernels._memo) == [16383]
+    kept = alive()
+    assert sorted(r for r, arrays in kept.items() if arrays) == list(range(128))
+    assert sum(a.nbytes for arrays in kept.values() for a in arrays) == 132_096
+
+
+def test_count_rows_keep_no_large_pair(empty_cache, monkeypatch):
+    """The hollow rows of the 60 published radii (up to r = 10000) compute
+    the runs of each radius and keep no pair past r = 127."""
+    radii = sorted(analysis.reference_counts("sphere"))
+    assert len(radii) == 60 and max(radii) == 10000
+    alive = kept_pairs(monkeypatch)
+    analysis.sphere_table(radii)
+    kept = alive()
+    assert set(kept) == set(radii)
+    assert not [r for r, arrays in kept.items() if arrays and r > kernels._KEPT_R]

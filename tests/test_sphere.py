@@ -190,6 +190,21 @@ def test_profile_gap_planes_equal_gap_plane():
         sphere._gap_planes(3_037_000_500, np.arange(3))
 
 
+@pytest.mark.parametrize("r", [0, 1, 5, 17, 40])
+def test_lifted_blocks_ignore_the_row_order_within_each_s(r):
+    """_lifted reads only where each s's rows start and end in the profile
+    and canonicalizes each block, so permuting the rows within each s leaves
+    every block unchanged: a profile may come sorted by (s, y)."""
+    profile = sphere._profile(r)
+    rng = np.random.default_rng(r)
+    shuffled = profile[np.lexsort((rng.random(len(profile)), profile[:, 0]))]
+    assert np.array_equal(shuffled[:, 0], profile[:, 0])
+    assert r < 5 or not np.array_equal(shuffled, profile)
+    blocks, again = list(sphere._lifted(r, profile)), list(sphere._lifted(r, shuffled))
+    assert len(blocks) == len(again)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, again))
+
+
 def test_predicate_worked_examples():
     assert is_sphere_absentee((2, 9, 4), 10)
     assert not is_sphere_absentee((3, 9, 4), 10)
